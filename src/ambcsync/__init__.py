@@ -9,14 +9,10 @@ accuracy and bit-error-rate experiments as CSV files.
 """
 
 from .detector import (
-    DecisionRecord,
     DegenerateChannelError,
     DetectorParams,
-    compensate,
-    decide,
     detect_frame,
     ed_threshold,
-    energy_statistic,
 )
 from .estimator import (
     DegenerateSegmentError,
@@ -33,6 +29,7 @@ from .frame import (
     Waveform,
     apply_sto,
     build_bit_sequence,
+    compensate,
     synthesize_received,
 )
 from .harness import (
@@ -53,7 +50,6 @@ from .signal_model import (
     NoisePowers,
     draw_channel,
     gen_cgn_block,
-    symbol_variances,
     trial_rng,
 )
 
@@ -63,7 +59,6 @@ __all__ = [
     "BerResult",
     "ChannelModel",
     "ChannelState",
-    "DecisionRecord",
     "DegenerateChannelError",
     "DegenerateSegmentError",
     "DetectorParams",
@@ -79,11 +74,9 @@ __all__ = [
     "build_bit_sequence",
     "collect_windows",
     "compensate",
-    "decide",
     "detect_frame",
     "draw_channel",
     "ed_threshold",
-    "energy_statistic",
     "estimate_sto",
     "estimation_error",
     "gen_cgn_block",
@@ -93,7 +86,6 @@ __all__ = [
     "run_error_hist",
     "run_experiment",
     "run_mae",
-    "symbol_variances",
     "synthesize_received",
     "trial_rng",
     "variance_estimates",

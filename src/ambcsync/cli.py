@@ -1,8 +1,7 @@
-"""Command-line front end: mae | hist | ber | selftest.
+"""Command-line front end: mae | hist | ber.
 
-Each experiment subcommand runs a seeded Monte Carlo sweep and writes a
-CSV; ``selftest`` runs quick property checks of the estimator and the
-detector threshold.  Exit codes: 0 success, 1 runtime failure, 2 bad flags.
+Each subcommand runs a seeded Monte Carlo sweep and writes a CSV.  Exit
+codes: 0 success, 1 runtime failure, 2 bad flags or a bad AMBC_THREADS.
 """
 
 from __future__ import annotations
@@ -12,11 +11,18 @@ import re
 import sys
 import time
 
-import numpy as np
+from .harness import ExperimentConfig, resolve_threads, run_experiment
 
-from .detector import ed_threshold
-from .estimator import estimate_sto, variance_estimates
-from .harness import ExperimentConfig, run_experiment
+# subcommand -> (experiment kind, help, default --pairs, default SNR grid in dB);
+# hist runs a single SNR point
+COMMANDS = {
+    "mae": (
+        "mae_vs_snr", "mean absolute timing error vs SNR", "20,30,40",
+        tuple(float(s) for s in range(0, 21, 5)),
+    ),
+    "hist": ("error_hist", "empirical estimation-error distribution", "30", (15.0,)),
+    "ber": ("ber_compare", "paired BER comparison", "30", (5.0, 10.0, 15.0, 20.0)),
+}
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -92,7 +98,7 @@ def _add_common(parser: argparse.ArgumentParser, default_pairs: str) -> None:
 
 def _add_snr(parser: argparse.ArgumentParser, single: bool) -> None:
     if single:
-        parser.add_argument("--snr", type=float, default=15.0, help="SNR in dB")
+        parser.add_argument("--snr", type=float, default=None, help="SNR in dB")
         return
     group = parser.add_mutually_exclusive_group()
     group.add_argument(
@@ -110,29 +116,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Backscatter timing-offset estimation and detection experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_mae = sub.add_parser("mae", help="mean absolute timing error vs SNR")
-    _add_snr(p_mae, single=False)
-    _add_common(p_mae, default_pairs="20,30,40")
-    p_mae.set_defaults(func=_cmd_mae)
-
-    p_hist = sub.add_parser("hist", help="empirical estimation-error distribution")
-    _add_snr(p_hist, single=True)
-    _add_common(p_hist, default_pairs="30")
-    p_hist.set_defaults(func=_cmd_hist)
-
-    p_ber = sub.add_parser("ber", help="paired BER comparison")
-    _add_snr(p_ber, single=False)
-    _add_common(p_ber, default_pairs="30")
-    p_ber.set_defaults(func=_cmd_ber)
-
-    p_self = sub.add_parser("selftest", help="run quick property checks")
-    p_self.set_defaults(func=_cmd_selftest)
-
     # values like "-10,10" or "-10..-5,5..10" start with a dash; widen the
     # negative-number heuristic so they parse as option values
     matcher = re.compile(r"^-\d")
-    for p in (parser, p_mae, p_hist, p_ber, p_self):
+    parser._negative_number_matcher = matcher
+    for command, (kind, help_text, default_pairs, _) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        _add_snr(p, single=kind == "error_hist")
+        _add_common(p, default_pairs=default_pairs)
         p._negative_number_matcher = matcher
     return parser
 
@@ -153,158 +144,30 @@ def _tau_choices(args) -> tuple[int, ...]:
     return (-10, 10)
 
 
-def _run_and_report(config: ExperimentConfig, label: str) -> int:
+def _cmd_experiment(args) -> int:
+    kind, _, _, default_grid = COMMANDS[args.command]
+    config = ExperimentConfig(
+        kind=kind,
+        snr_grid_db=_snr_grid(args, default=default_grid),
+        trials=args.trials,
+        pilot_pairs=args.pairs,
+        pilot_bit_samples=args.np_samples,
+        symbol_samples=args.n_samples,
+        data_symbols=args.k,
+        tau_choices=_tau_choices(args),
+        seed=args.seed,
+        out_path=args.out or f"{args.command}.csv",
+        threads=args.threads,
+    )
     t0 = time.perf_counter()
     result = run_experiment(config)
     dt = time.perf_counter() - t0
     rows = len(result.probabilities) if hasattr(result, "probabilities") else len(result.rows)
-    dest = config.out_path or "(not written)"
-    print(f"{label}: {rows} rows -> {dest} [{config.trials} trials/cell, {dt:.1f}s]")
+    print(
+        f"{args.command}: {rows} rows -> {config.out_path} "
+        f"[{config.trials} trials/cell, {dt:.1f}s]"
+    )
     return 0
-
-
-def _cmd_mae(args) -> int:
-    config = ExperimentConfig(
-        kind="mae_vs_snr",
-        snr_grid_db=_snr_grid(args, default=tuple(float(s) for s in range(0, 21, 5))),
-        trials=args.trials,
-        pilot_pairs=args.pairs,
-        pilot_bit_samples=args.np_samples,
-        symbol_samples=args.n_samples,
-        data_symbols=args.k,
-        tau_choices=_tau_choices(args),
-        seed=args.seed,
-        out_path=args.out or "mae.csv",
-        threads=args.threads,
-    )
-    return _run_and_report(config, "mae")
-
-
-def _cmd_hist(args) -> int:
-    config = ExperimentConfig(
-        kind="error_hist",
-        snr_grid_db=(args.snr,),
-        trials=args.trials,
-        pilot_pairs=args.pairs,
-        pilot_bit_samples=args.np_samples,
-        symbol_samples=args.n_samples,
-        data_symbols=args.k,
-        tau_choices=_tau_choices(args),
-        seed=args.seed,
-        out_path=args.out or "hist.csv",
-        threads=args.threads,
-    )
-    return _run_and_report(config, "hist")
-
-
-def _cmd_ber(args) -> int:
-    config = ExperimentConfig(
-        kind="ber_compare",
-        snr_grid_db=_snr_grid(args, default=(5.0, 10.0, 15.0, 20.0)),
-        trials=args.trials,
-        pilot_pairs=args.pairs,
-        pilot_bit_samples=args.np_samples,
-        symbol_samples=args.n_samples,
-        data_symbols=args.k,
-        tau_choices=_tau_choices(args),
-        seed=args.seed,
-        out_path=args.out or "ber.csv",
-        threads=args.threads,
-    )
-    return _run_and_report(config, "ber")
-
-
-def _exact_two_segment_matrix(rng, rows, cols, split, v1, v2):
-    """Rows whose sample magnitudes are exactly sqrt(v1) before the split, sqrt(v2) after."""
-    mags = np.concatenate(
-        [np.full(split, np.sqrt(v1)), np.full(cols - split, np.sqrt(v2))]
-    )
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=(rows, cols))
-    return mags * np.exp(1j * phases)
-
-
-def _full_loglik(y, n0):
-    rows, cols = y.shape
-    s1, s2 = variance_estimates(y, n0)
-    power = y.real**2 + y.imag**2
-    head = float(power[:, :n0].sum())
-    tail = float(power[:, n0:].sum())
-    return (
-        -n0 * rows * np.log(s1)
-        - head / s1
-        - (cols - n0) * rows * np.log(s2)
-        - tail / s2
-    )
-
-
-def _check_noiseless_exactness(rng) -> bool:
-    for _ in range(200):
-        rows = int(rng.integers(1, 13))
-        cols = int(rng.integers(8, 33))
-        split = int(rng.integers(2, cols))
-        v1 = float(rng.uniform(0.5, 2.0))
-        ratio = float(rng.uniform(1.5, 20.0))
-        v2 = v1 * ratio if rng.integers(2) else v1 / ratio
-        y = _exact_two_segment_matrix(rng, rows, cols, split, v1, v2)
-        if estimate_sto(y).n0_hat != split:
-            return False
-    return True
-
-
-def _check_scan_equivalence(rng) -> bool:
-    for _ in range(300):
-        rows = int(rng.integers(1, 9))
-        cols = int(rng.integers(4, 25))
-        y = (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2)
-        est = estimate_sto(y)
-        full = [_full_loglik(y, n0) for n0 in range(2, cols)]
-        if est.n0_hat != 2 + int(np.argmax(full)):
-            return False
-        for c in (1e-3, 1e3):
-            if estimate_sto(c * y).n0_hat != est.n0_hat:
-                return False
-    return True
-
-
-def _check_threshold_sandwich(_rng) -> bool:
-    # ratios clear of 1: the upper bound needs N (r-1)^2 > 2 ln r
-    for n in (10, 32, 100, 316, 1000):
-        for p0 in (0.25, 1.0, 3.0):
-            for ratio in (1.5, 2.0, 10.0, 100.0):
-                p1 = p0 * ratio
-                t = ed_threshold(n, p0, p1)
-                if not n * p0 < t < n * p1:
-                    return False
-    return True
-
-
-def _check_determinism(_rng) -> bool:
-    config = ExperimentConfig(
-        kind="mae_vs_snr", snr_grid_db=(5.0,), trials=200, pilot_pairs=(10,),
-        pilot_bit_samples=16, tau_choices=(-4, 4), seed=7, threads=1,
-    )
-    first = run_experiment(config).to_csv()
-    again = run_experiment(config).to_csv()
-    from dataclasses import replace
-
-    wide = run_experiment(replace(config, threads=2)).to_csv()
-    return first == again == wide
-
-
-def _cmd_selftest(_args) -> int:
-    rng = np.random.default_rng(20240817)
-    checks = [
-        ("noiseless transition recovery is exact", _check_noiseless_exactness),
-        ("reduced scan matches full likelihood, scale invariant", _check_scan_equivalence),
-        ("detection threshold lies between hypothesis means", _check_threshold_sandwich),
-        ("seeded runs are worker-count independent", _check_determinism),
-    ]
-    failed = 0
-    for label, fn in checks:
-        ok = fn(rng)
-        print(f"{'ok  ' if ok else 'FAIL'} {label}")
-        failed += 0 if ok else 1
-    return 1 if failed else 0
 
 
 def cli_main(argv=None) -> int:
@@ -314,7 +177,13 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # AMBC_THREADS is input like a flag, so a bad value exits 2 too
+        resolve_threads(args.threads)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        return _cmd_experiment(args)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

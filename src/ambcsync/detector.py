@@ -1,10 +1,10 @@
-"""Timing compensation and per-symbol energy detection.
+"""Per-symbol energy detection after timing compensation.
 
 After the pilot-based offset estimate, the receiver realigns its symbol
-clock and decides each payload bit by comparing the window energy against
-a closed-form threshold that sits between the two hypothesis means N*p0
-and N*p1.  When the reflecting state happens to receive *less* power than
-the absorbing one (p0 > p1) the comparison flips.
+clock (``frame.compensate``) and decides each payload bit by comparing the
+window energy against a closed-form threshold that sits between the two
+hypothesis means N*p0 and N*p1.  When the reflecting state happens to
+receive *less* power than the absorbing one (p0 > p1) the comparison flips.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import FrameConfig, Waveform, _shift_clock
+from .frame import FrameConfig, Waveform, compensate
 
 
 class DegenerateChannelError(ValueError):
@@ -35,26 +35,6 @@ class DetectorParams:
         return cls(
             n_samples=n_samples, p0=p0, p1=p1, threshold=ed_threshold(n_samples, p0, p1)
         )
-
-
-@dataclass(frozen=True)
-class DecisionRecord:
-    """One payload symbol's detection outcome."""
-
-    symbol_index: int
-    statistic: float
-    decided_bit: int
-    true_bit: int | None = None
-
-
-def compensate(w: Waveform, tau_hat: int) -> Waveform:
-    """Realign the receiver's symbol clock using the offset estimate.
-
-    Applied to a waveform whose clock is offset by the true tau, the
-    residual misalignment after compensation is tau - tau_hat; a perfect
-    estimate restores the ideal-synchronization windows exactly.
-    """
-    return _shift_clock(w, -int(tau_hat))
 
 
 def ed_threshold(n_samples: int, p0: float, p1: float) -> float:
@@ -79,62 +59,21 @@ def ed_threshold(n_samples: int, p0: float, p1: float) -> float:
     return (n_samples * p0 * p1 / (p0 + p1)) * (1.0 + math.sqrt(radicand))
 
 
-def energy_statistic(window: np.ndarray) -> float:
-    """Total energy of one sampling window: sum of |y|^2."""
-    window = np.asarray(window)
-    return float(np.sum(window.real**2 + window.imag**2))
-
-
-def decide(gamma: float, params: DetectorParams) -> int:
-    """Threshold test with the inequality oriented by the power ordering.
-
-    For p1 >= p0, energy at or above threshold reads as bit 1; for
-    p0 > p1 the orientation flips.  The boundary gamma == threshold is
-    assigned to the >= branch.
-    """
-    above = gamma >= params.threshold
-    if params.p1 >= params.p0:
-        return int(above)
-    return int(not above)
-
-
-def _detect_bits(
+def detect_frame(
     w: Waveform, cfg: FrameConfig, params: DetectorParams, tau_hat: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized compensate-then-detect over all payload symbols."""
+    """Compensate the clock by ``tau_hat``, then decide every payload symbol.
+
+    Returns ``(bits, energies)``: the int64 decided bits and each window's
+    energy sum |y|^2.  Energy at or above the threshold reads as bit 1 when
+    p1 >= p0; for p0 > p1 the orientation flips, so the boundary
+    energy == threshold goes to bit 1 or bit 0 respectively.
+    """
     wc = compensate(w, tau_hat)
     n = cfg.data_symbol_samples
     k = cfg.data_symbols
     region = wc.samples[wc.data_start : wc.data_start + k * n]
-    gammas = (region.real**2 + region.imag**2).reshape(k, n).sum(axis=1)
-    above = gammas >= params.threshold
+    energies = (region.real**2 + region.imag**2).reshape(k, n).sum(axis=1)
+    above = energies >= params.threshold
     bits = above if params.p1 >= params.p0 else ~above
-    return bits.astype(np.int64), gammas
-
-
-def detect_frame(
-    w: Waveform,
-    cfg: FrameConfig,
-    params: DetectorParams,
-    tau_hat: int,
-    true_bits: np.ndarray | None = None,
-) -> list[DecisionRecord]:
-    """Compensate once, then emit one decision record per payload symbol."""
-    if cfg.data_symbols == 0:
-        return []
-    bits, gammas = _detect_bits(w, cfg, params, tau_hat)
-    if true_bits is not None:
-        true_bits = np.asarray(true_bits, dtype=np.int64)
-        if true_bits.shape != (cfg.data_symbols,):
-            raise ValueError(
-                f"true_bits length {true_bits.size} != data_symbols {cfg.data_symbols}"
-            )
-    return [
-        DecisionRecord(
-            symbol_index=k,
-            statistic=float(gammas[k]),
-            decided_bit=int(bits[k]),
-            true_bit=None if true_bits is None else int(true_bits[k]),
-        )
-        for k in range(cfg.data_symbols)
-    ]
+    return bits.astype(np.int64), energies

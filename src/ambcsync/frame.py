@@ -1,4 +1,5 @@
-"""Device-side frame construction and receiver-side waveform synthesis.
+"""Device-side frame construction, receiver-side waveform synthesis, and the
+receiver's symbol clock (offset injection and compensation).
 
 A transmission is three phases back to back: an all-one wake-up preamble,
 an alternating (0,1) pilot of L bit-pairs, and the data payload.  One
@@ -182,3 +183,13 @@ def apply_sto(w: Waveform, tau: int) -> Waveform:
             f"have {w.config.pilot_bit_samples}"
         )
     return _shift_clock(w, tau)
+
+
+def compensate(w: Waveform, tau_hat: int) -> Waveform:
+    """Realign the receiver's symbol clock using the offset estimate.
+
+    Applied to a waveform whose clock is offset by the true tau, the
+    residual misalignment after compensation is tau - tau_hat; a perfect
+    estimate restores the ideal-synchronization windows exactly.
+    """
+    return _shift_clock(w, -int(tau_hat))

@@ -20,12 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import DetectorParams, _detect_bits
+from .detector import DetectorParams
+
+# perfbench/spans.py times detection by wrapping ``harness._detect_bits``
+from .detector import detect_frame as _detect_bits
 from .estimator import collect_windows, estimate_sto, estimation_error
 from .frame import FrameConfig, apply_sto, build_bit_sequence, synthesize_received
 from .signal_model import ChannelModel, ChannelState, NoisePowers, draw_channel, trial_rng
 
-KINDS = ("mae_vs_snr", "error_hist", "ber_compare")
+# every experiment frame has one wake-up bit ahead of the pilot
+PREAMBLE_BITS = 1
 
 # below this relative power gap the threshold formula is numerically
 # meaningless and the trial's channel is redrawn
@@ -58,7 +62,6 @@ class ExperimentConfig:
         out_path: CSV destination, if any.
         threads: worker count; ``AMBC_THREADS`` overrides, default is the
             available parallelism.
-        preamble_bits: wake-up bits ahead of the pilot.
         channel: channel law; the default is Rayleigh block fading with one
             draw per frame.
         snr_reference: signal power the SNR refers to, ``source`` (the
@@ -76,12 +79,11 @@ class ExperimentConfig:
     seed: int = 0
     out_path: str | None = None
     threads: int | None = None
-    preamble_bits: int = 1
     channel: ChannelModel = ChannelModel()
     snr_reference: str = "source"
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
@@ -180,10 +182,15 @@ class BerResult:
 
 
 def resolve_threads(explicit: int | None = None) -> int:
-    """Worker count: AMBC_THREADS env var, else the explicit value, else all cores."""
+    """Worker count: AMBC_THREADS env var, else the explicit value, else all cores.
+
+    Raises ValueError if AMBC_THREADS is set to anything but a positive integer.
+    """
     env = os.environ.get("AMBC_THREADS")
     if env:
-        return max(1, int(env))
+        if not (env.strip().isdecimal() and int(env) >= 1):
+            raise ValueError(f"AMBC_THREADS must be a positive integer, got {env!r}")
+        return int(env)
     if explicit is not None:
         return max(1, int(explicit))
     return os.cpu_count() or 1
@@ -200,14 +207,14 @@ def _cells(config: ExperimentConfig) -> list[tuple[float, int]]:
 def _frame_config(config: ExperimentConfig, cell: tuple[float, int]) -> FrameConfig:
     if config.kind == "ber_compare":
         return FrameConfig(
-            preamble_bits=config.preamble_bits,
+            preamble_bits=PREAMBLE_BITS,
             pilot_pairs=config.pilot_pairs[0],
             pilot_bit_samples=config.pilot_bit_samples,
             data_symbols=config.data_symbols,
             data_symbol_samples=cell[1],
         )
     return FrameConfig(
-        preamble_bits=config.preamble_bits,
+        preamble_bits=PREAMBLE_BITS,
         pilot_pairs=cell[1],
         pilot_bit_samples=config.pilot_bit_samples,
         data_symbols=0,
@@ -228,10 +235,13 @@ def _cell_channel(
     return noise, lambda rng: draw_channel(rng, noise)
 
 
-def _sto_errors(
+def _error_counts(
     config: ExperimentConfig, cell_index: int, start: int, stop: int
 ) -> np.ndarray:
-    """Run estimation trials [start, stop) of one cell; return the signed errors."""
+    """Run estimation trials [start, stop) of one cell; count each signed error.
+
+    Entry i counts the error i - N_p (|error| can never exceed N_p).
+    """
     cell = _cells(config)[cell_index]
     noise, channel = _cell_channel(config, cell[0])
     fcfg = _frame_config(config, cell)
@@ -245,18 +255,7 @@ def _sto_errors(
         w = synthesize_received(bits, fcfg, ch, noise, rng)
         est = estimate_sto(collect_windows(apply_sto(w, tau), fcfg))
         errors[i] = estimation_error(tau, est.tau_hat)
-    return errors
-
-
-def _mae_chunk(config: ExperimentConfig, cell_index: int, start: int, stop: int) -> int:
-    return int(np.abs(_sto_errors(config, cell_index, start, stop)).sum())
-
-
-def _hist_chunk(
-    config: ExperimentConfig, cell_index: int, start: int, stop: int
-) -> np.ndarray:
-    span = config.pilot_bit_samples  # |error| can never exceed N_p
-    errors = _sto_errors(config, cell_index, start, stop)
+    span = config.pilot_bit_samples
     return np.bincount(errors + span, minlength=2 * span + 1)
 
 
@@ -296,16 +295,9 @@ def _ber_chunk(
     return e_ideal, e_nocomp, e_comp, bits_counted, redraws
 
 
-_CHUNK_FUNCS = {
-    "mae_vs_snr": _mae_chunk,
-    "error_hist": _hist_chunk,
-    "ber_compare": _ber_chunk,
-}
-
-
 def _run_task(args):
     config, cell_index, start, stop = args
-    return _CHUNK_FUNCS[config.kind](config, cell_index, start, stop)
+    return _KINDS[config.kind][0](config, cell_index, start, stop)
 
 
 def _trial_ranges(trials: int, parts: int) -> list[tuple[int, int]]:
@@ -322,12 +314,15 @@ def _execute(config: ExperimentConfig) -> list[list]:
     tasks = [
         (config, ci, a, b) for ci in range(len(cells)) for (a, b) in ranges
     ]
-    if threads == 1 or len(tasks) == 1:
+    # trials are chunked by the requested count, so outputs do not depend on
+    # how many processes run the chunks
+    processes = min(threads, len(tasks), os.cpu_count() or 1)
+    if processes == 1:
         outputs = [_run_task(t) for t in tasks]
     else:
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-        with ctx.Pool(processes=threads) as pool:
+        with ctx.Pool(processes=processes) as pool:
             outputs = pool.map(_run_task, tasks, chunksize=1)
     per_cell = len(ranges)
     return [outputs[i * per_cell : (i + 1) * per_cell] for i in range(len(cells))]
@@ -338,9 +333,11 @@ def run_mae(config: ExperimentConfig) -> MaeResult:
     if config.kind != "mae_vs_snr":
         raise ValueError(f"config kind is {config.kind!r}, expected 'mae_vs_snr'")
     grouped = _execute(config)
+    span = config.pilot_bit_samples
+    abs_errors = np.abs(np.arange(-span, span + 1))
     rows = []
     for cell, chunks in zip(_cells(config), grouped):
-        abs_sum = sum(chunks)
+        abs_sum = int(abs_errors @ np.sum(chunks, axis=0))
         rows.append((cell[0], cell[1], abs_sum / config.trials, config.trials))
     return MaeResult(rows=tuple(rows))
 
@@ -377,20 +374,35 @@ def run_ber(config: ExperimentConfig) -> BerResult:
     return BerResult(rows=tuple(rows))
 
 
+# kind -> (chunk function each task runs, runner that aggregates the chunks)
+_KINDS = {
+    "mae_vs_snr": (_error_counts, run_mae),
+    "error_hist": (_error_counts, run_error_hist),
+    "ber_compare": (_ber_chunk, run_ber),
+}
+
+
 def run_experiment(config: ExperimentConfig):
     """Dispatch on the experiment kind; optionally write the CSV."""
-    runner = {
-        "mae_vs_snr": run_mae,
-        "error_hist": run_error_hist,
-        "ber_compare": run_ber,
-    }[config.kind]
-    result = runner(config)
+    result = _KINDS[config.kind][1](config)
     if config.out_path:
         write_csv(result.to_csv(), config.out_path)
     return result
 
 
 def write_csv(text: str, path: str) -> None:
-    """UTF-8, LF line endings, header row included by the result formatters."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    """UTF-8, LF line endings, header row included by the result formatters.
+
+    The text goes to a temporary file beside ``path``, which then replaces
+    ``path`` in one step: a failed write leaves no partial file and any
+    earlier file intact.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

@@ -156,17 +156,6 @@ def gen_cgn_block(count: int, variance: float, rng: np.random.Generator) -> np.n
     return z
 
 
-def symbol_variances(ch: ChannelState, noise: NoisePowers) -> tuple[float, float]:
-    """Received per-sample power under each bit hypothesis.
-
-    Returns (p0, p1) with p0 = |h|^2 sigma_s^2 + sigma_w^2 and
-    p1 = |mu|^2 sigma_s^2 + sigma_w^2.
-    """
-    p0 = abs(ch.h) ** 2 * noise.sigma_s_sq + noise.sigma_w_sq
-    p1 = abs(ch.mu) ** 2 * noise.sigma_s_sq + noise.sigma_w_sq
-    return p0, p1
-
-
 def trial_rng(seed: int, *key: int) -> np.random.Generator:
     """Independent substream for one unit of work, derived from a root seed.
 

@@ -12,13 +12,12 @@ from ambcsync import (
     DetectorParams,
     FrameConfig,
     NoisePowers,
+    Waveform,
     apply_sto,
     build_bit_sequence,
     compensate,
-    decide,
     detect_frame,
     ed_threshold,
-    energy_statistic,
     synthesize_received,
 )
 
@@ -111,13 +110,32 @@ def test_threshold_stable_near_equal_powers():
     assert t == pytest.approx(limit, rel=1e-9)
 
 
-# -------------------------------------------------------------- energy_statistic
+# ------------------------------------------------ energy statistic and decisions
+
+
+def frame_with_windows(windows):
+    """A noiseless frame whose k-th payload window holds ``windows[k]``."""
+    windows = np.asarray(windows, dtype=complex)
+    k, n = windows.shape
+    cfg = FrameConfig(1, 1, 4, k, n)
+    samples = np.zeros(cfg.total_samples, dtype=complex)
+    samples[cfg.data_start : cfg.data_start + k * n] = windows.ravel()
+    return Waveform(samples, cfg, cfg.pilot_start, cfg.data_start), cfg
+
+
+def unit_window(energy, n=16):
+    """``energy`` unit samples then zeros: the window energy is exact."""
+    return np.r_[np.ones(energy), np.zeros(n - energy)]
+
+
+ANY_PARAMS = DetectorParams(n_samples=16, p0=1.0, p1=2.0, threshold=15.0)
 
 
 def test_energy_statistic_basic():
-    assert energy_statistic(np.zeros(16, dtype=complex)) == 0.0
-    window = np.exp(1j * np.array([0.1, 1.2, 2.3, 3.4]))
-    assert energy_statistic(window) == pytest.approx(4.0, rel=1e-12)
+    w, cfg = frame_with_windows([np.zeros(4), np.exp(1j * np.array([0.1, 1.2, 2.3, 3.4]))])
+    _, energies = detect_frame(w, cfg, ANY_PARAMS, 0)
+    assert energies[0] == 0.0
+    assert energies[1] == pytest.approx(4.0, rel=1e-12)
 
 
 def test_energy_statistic_matches_naive_sum():
@@ -127,26 +145,25 @@ def test_energy_statistic_matches_naive_sum():
         naive = 0.0
         for z in window:  # two-pass style reference accumulation
             naive += z.real * z.real + z.imag * z.imag
-        assert energy_statistic(window) == pytest.approx(naive, rel=1e-12)
-
-
-# ------------------------------------------------------------------------ decide
+        w, cfg = frame_with_windows([window])
+        _, energies = detect_frame(w, cfg, ANY_PARAMS, 0)
+        assert energies[0] == pytest.approx(naive, rel=1e-12)
 
 
 def test_decide_orientations():
-    up = DetectorParams(n_samples=10, p0=1.0, p1=2.0, threshold=15.0)
-    assert decide(16.0, up) == 1
-    assert decide(14.0, up) == 0
-    down = DetectorParams(n_samples=10, p0=2.0, p1=1.0, threshold=15.0)
-    assert decide(16.0, down) == 0
-    assert decide(14.0, down) == 1
+    w, cfg = frame_with_windows([unit_window(16), unit_window(14)])
+    up = DetectorParams(n_samples=16, p0=1.0, p1=2.0, threshold=15.0)
+    assert detect_frame(w, cfg, up, 0)[0].tolist() == [1, 0]
+    down = DetectorParams(n_samples=16, p0=2.0, p1=1.0, threshold=15.0)
+    assert detect_frame(w, cfg, down, 0)[0].tolist() == [0, 1]
 
 
 def test_decide_boundary_goes_to_geq_branch():
-    up = DetectorParams(n_samples=10, p0=1.0, p1=2.0, threshold=15.0)
-    down = DetectorParams(n_samples=10, p0=2.0, p1=1.0, threshold=15.0)
-    assert decide(15.0, up) == 1
-    assert decide(15.0, down) == 0
+    w, cfg = frame_with_windows([unit_window(15)])
+    up = DetectorParams(n_samples=16, p0=1.0, p1=2.0, threshold=15.0)
+    down = DetectorParams(n_samples=16, p0=2.0, p1=1.0, threshold=15.0)
+    assert detect_frame(w, cfg, up, 0)[0].tolist() == [1]
+    assert detect_frame(w, cfg, down, 0)[0].tolist() == [0]
 
 
 def test_decide_swap_relabel_symmetry():
@@ -154,10 +171,17 @@ def test_decide_swap_relabel_symmetry():
     # relabeling hypotheses complements every decision
     t = ed_threshold(50, 1.0, 3.0)
     assert t == pytest.approx(ed_threshold(50, 3.0, 1.0), rel=1e-14)
-    a = DetectorParams(50, 1.0, 3.0, t)
-    b = DetectorParams(50, 3.0, 1.0, t)
-    for gamma in (0.0, t / 2, t, t * 1.5):
-        assert decide(gamma, a) == 1 - decide(gamma, b)
+    windows = [np.r_[np.sqrt(gamma), np.zeros(49)] for gamma in (0.0, t / 2, t, t * 1.5)]
+    w, cfg = frame_with_windows(windows)
+    # put the threshold exactly on the third window's energy
+    _, energies = detect_frame(w, cfg, ANY_PARAMS, 0)
+    assert energies[2] == pytest.approx(t, rel=1e-14)
+    a = DetectorParams(50, 1.0, 3.0, energies[2])
+    b = DetectorParams(50, 3.0, 1.0, energies[2])
+    bits_a, _ = detect_frame(w, cfg, a, 0)
+    bits_b, _ = detect_frame(w, cfg, b, 0)
+    assert bits_a.tolist() == [0, 0, 1, 1]
+    assert (bits_a == 1 - bits_b).all()
 
 
 def test_detector_params_from_powers():
@@ -216,25 +240,19 @@ def test_compensate_out_of_range():
 def test_detect_frame_empty_payload():
     w, cfg, ch, _ = make_frame(k=0)
     params = DetectorParams.from_powers(cfg.data_symbol_samples, ch.p0, ch.p1)
-    assert detect_frame(w, cfg, params, 0) == []
+    bits, energies = detect_frame(w, cfg, params, 0)
+    assert bits.shape == energies.shape == (0,)
 
 
 def test_detect_frame_noiseless_all_correct():
     # strong power contrast and nearly no noise: every decision is right
     w, cfg, ch, payload = make_frame(k=40, n=50, seed=5, snr_db=60.0)
     params = DetectorParams.from_powers(cfg.data_symbol_samples, ch.p0, ch.p1)
-    records = detect_frame(w, cfg, params, 0, true_bits=payload)
-    assert len(records) == 40
-    assert all(r.decided_bit == r.true_bit for r in records)
-    assert all(r.statistic >= 0 for r in records)
-    assert [r.symbol_index for r in records] == list(range(40))
-
-
-def test_detect_frame_true_bits_length_check():
-    w, cfg, ch, _ = make_frame(k=4)
-    params = DetectorParams.from_powers(cfg.data_symbol_samples, ch.p0, ch.p1)
-    with pytest.raises(ValueError):
-        detect_frame(w, cfg, params, 0, true_bits=np.array([0, 1]))
+    bits, energies = detect_frame(w, cfg, params, 0)
+    assert bits.shape == energies.shape == (40,)
+    assert bits.dtype == np.int64
+    assert np.array_equal(bits, payload)
+    assert (energies >= 0).all()
 
 
 def test_half_symbol_offset_without_compensation_is_coin_flip():
@@ -249,8 +267,8 @@ def test_half_symbol_offset_without_compensation_is_coin_flip():
         )
         params = DetectorParams.from_powers(cfg.data_symbol_samples, ch.p0, ch.p1)
         shifted = apply_sto(w, 5)
-        records = detect_frame(shifted, cfg, params, 0, true_bits=payload)
-        errors += sum(r.decided_bit != r.true_bit for r in records)
+        bits, _ = detect_frame(shifted, cfg, params, 0)
+        errors += int((bits != payload).sum())
         total_bits += k
     assert total_bits == 10_000
     assert errors / total_bits == pytest.approx(0.5, abs=0.02)
@@ -259,8 +277,8 @@ def test_half_symbol_offset_without_compensation_is_coin_flip():
 def test_perfect_compensation_equals_ideal_detection():
     w, cfg, ch, payload = make_frame(k=30, n=25, seed=11, snr_db=8.0)
     params = DetectorParams.from_powers(cfg.data_symbol_samples, ch.p0, ch.p1)
-    ideal = detect_frame(w, cfg, params, 0, true_bits=payload)
+    ideal_bits, ideal_energies = detect_frame(w, cfg, params, 0)
     for tau in (-9, 9):
-        comp = detect_frame(apply_sto(w, tau), cfg, params, tau, true_bits=payload)
-        assert [r.statistic for r in comp] == [r.statistic for r in ideal]
-        assert [r.decided_bit for r in comp] == [r.decided_bit for r in ideal]
+        bits, energies = detect_frame(apply_sto(w, tau), cfg, params, tau)
+        assert np.array_equal(energies, ideal_energies)
+        assert np.array_equal(bits, ideal_bits)

@@ -10,7 +10,6 @@ from ambcsync import (
     NoisePowers,
     draw_channel,
     gen_cgn_block,
-    symbol_variances,
     trial_rng,
 )
 
@@ -115,11 +114,11 @@ def test_gen_cgn_block_stream_determinism():
 def test_symbol_variances_hand_cases():
     noise = NoisePowers(1.0, 1.0)
     zero = ChannelState.from_coefficients(0, 0, 0, noise)
-    assert symbol_variances(zero, noise) == (1.0, 1.0)
+    assert (zero.p0, zero.p1) == (1.0, 1.0)
     plus = ChannelState.from_coefficients(1, 1, 1, noise)
-    assert symbol_variances(plus, noise) == (2.0, 5.0)
+    assert (plus.p0, plus.p1) == (2.0, 5.0)
     cancel = ChannelState.from_coefficients(1, 1, -1, noise)
-    assert symbol_variances(cancel, noise) == (2.0, 1.0)
+    assert (cancel.p0, cancel.p1) == (2.0, 1.0)
 
 
 def test_power_gap_sign_matches_channel_gap():
