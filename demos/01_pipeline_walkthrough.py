@@ -18,7 +18,6 @@ from ambcsync import (
     collect_windows,
     detect_frame,
     estimate_sto,
-    estimation_error,
     synthesize_received,
 )
 
@@ -50,7 +49,7 @@ ideal = synthesize_received(bits, cfg, channel, noise, rng)
 received = apply_sto(ideal, TAU_TRUE)
 print(f"\ninjected sampling-clock offset: {TAU_TRUE} samples")
 
-pilot_matrix = collect_windows(received, cfg)
+pilot_matrix = collect_windows(received)
 estimate = estimate_sto(pilot_matrix)
 trace = estimate.trace
 print(f"\npilot matrix: {pilot_matrix.shape[0]} x {pilot_matrix.shape[1]}")
@@ -63,11 +62,11 @@ for i in range(max(0, peak - 3), min(len(trace.candidates), peak + 4)):
         f"  s2^2={trace.sigma2_sq[i]:7.3f}  loglik={trace.log_likelihood[i]:10.2f}{mark}"
     )
 print(f"estimate: transition at n0={estimate.n0_hat} -> tau_hat={estimate.tau_hat}")
-print(f"estimation error: {estimation_error(TAU_TRUE, estimate.tau_hat)}")
+print(f"estimation error: {TAU_TRUE - estimate.tau_hat}")
 
 params = DetectorParams.from_powers(cfg.data_symbol_samples, channel.p0, channel.p1)
 print(f"\nenergy detector threshold: {params.threshold:.2f}")
 for label, tau_hat in (("no compensation", 0), ("estimated compensation", estimate.tau_hat)):
-    decided, _ = detect_frame(received, cfg, params, tau_hat)
+    decided, _ = detect_frame(received, params, tau_hat)
     errors = int((decided != payload).sum())
     print(f"  {label:>24}: {errors}/{decided.size} payload bits wrong")

@@ -5,7 +5,7 @@ A scaled-down version of the accuracy sweep (the CLI / acceptance suite run
 100k trials per point; this prints a table from 4k in under a minute).
 """
 
-from ambcsync import ExperimentConfig, run_mae
+from ambcsync import ExperimentConfig, run_experiment
 
 config = ExperimentConfig(
     kind="mae_vs_snr",
@@ -17,7 +17,7 @@ config = ExperimentConfig(
     seed=42,
 )
 
-result = run_mae(config)
+result = run_experiment(config)
 
 pairs = config.pilot_pairs
 print(f"mean |tau - tau_hat| over {config.trials} trials/point, offset = +/-10 samples\n")

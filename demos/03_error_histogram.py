@@ -5,7 +5,7 @@ Offsets are drawn uniformly from {-10..-5} u {5..10}; the signed error
 tau - tau_hat concentrates at zero with steep, symmetric shoulders.
 """
 
-from ambcsync import ExperimentConfig, run_error_hist
+from ambcsync import ExperimentConfig, run_experiment
 
 config = ExperimentConfig(
     kind="error_hist",
@@ -17,7 +17,7 @@ config = ExperimentConfig(
     seed=42,
 )
 
-pmf = run_error_hist(config).probabilities
+pmf = run_experiment(config).probabilities
 
 print(f"signed estimation error over {config.trials} trials at 15 dB, L=30\n")
 for eps in range(-8, 9):

@@ -5,7 +5,7 @@ Each trial synthesizes one frame and detects it three ways from the same
 samples, so the three curves differ only in receiver processing.
 """
 
-from ambcsync import ExperimentConfig, run_ber
+from ambcsync import ExperimentConfig, run_experiment
 
 config = ExperimentConfig(
     kind="ber_compare",
@@ -19,7 +19,7 @@ config = ExperimentConfig(
     seed=42,
 )
 
-result = run_ber(config)
+result = run_experiment(config)
 
 print(f"energy detection, N=100 samples/symbol, {config.trials * config.data_symbols} bits/point\n")
 print("snr_db |  no comp | estimated |    ideal")

@@ -16,11 +16,8 @@ from .detector import (
 )
 from .estimator import (
     DegenerateSegmentError,
-    LikelihoodTrace,
-    StoEstimate,
     collect_windows,
     estimate_sto,
-    estimation_error,
     log_likelihood_reduced,
     variance_estimates,
 )
@@ -33,15 +30,9 @@ from .frame import (
     synthesize_received,
 )
 from .harness import (
-    BerResult,
-    ErrorHistResult,
     ExperimentConfig,
-    MaeResult,
     resolve_threads,
-    run_ber,
-    run_error_hist,
     run_experiment,
-    run_mae,
     write_csv,
 )
 from .signal_model import (
@@ -56,19 +47,14 @@ from .signal_model import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BerResult",
     "ChannelModel",
     "ChannelState",
     "DegenerateChannelError",
     "DegenerateSegmentError",
     "DetectorParams",
-    "ErrorHistResult",
     "ExperimentConfig",
     "FrameConfig",
-    "LikelihoodTrace",
-    "MaeResult",
     "NoisePowers",
-    "StoEstimate",
     "Waveform",
     "apply_sto",
     "build_bit_sequence",
@@ -78,14 +64,10 @@ __all__ = [
     "draw_channel",
     "ed_threshold",
     "estimate_sto",
-    "estimation_error",
     "gen_cgn_block",
     "log_likelihood_reduced",
     "resolve_threads",
-    "run_ber",
-    "run_error_hist",
     "run_experiment",
-    "run_mae",
     "synthesize_received",
     "trial_rng",
     "variance_estimates",

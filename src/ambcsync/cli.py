@@ -1,56 +1,37 @@
 """Command-line front end: mae | hist | ber.
 
 Each subcommand runs a seeded Monte Carlo sweep and writes a CSV.  Exit
-codes: 0 success, 1 runtime failure, 2 bad flags or a bad AMBC_THREADS.
+codes: 0 success, 1 runtime failure, 2 bad flags or flag values, a missing
+output directory or a bad AMBC_THREADS.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
+import os
 import re
 import sys
 import time
 
-from .harness import ExperimentConfig, resolve_threads, run_experiment
+from .harness import ExperimentConfig, resolve_threads, run_experiment, write_csv
 
 # subcommand -> (experiment kind, help, default --pairs, default SNR grid in dB);
 # hist runs a single SNR point
 COMMANDS = {
     "mae": (
-        "mae_vs_snr", "mean absolute timing error vs SNR", "20,30,40",
+        "mae_vs_snr", "mean absolute timing error vs SNR", (20, 30, 40),
         tuple(float(s) for s in range(0, 21, 5)),
     ),
-    "hist": ("error_hist", "empirical estimation-error distribution", "30", (15.0,)),
-    "ber": ("ber_compare", "paired BER comparison", "30", (5.0, 10.0, 15.0, 20.0)),
+    "hist": ("error_hist", "empirical estimation-error distribution", (30,), (15.0,)),
+    "ber": ("ber_compare", "paired BER comparison", (30,), (5.0, 10.0, 15.0, 20.0)),
 }
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok != "")
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok != "")
-
-
-def _snr_range(text: str) -> tuple[float, ...]:
-    """Inclusive start:stop:step grid, e.g. 0:20:2.5."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected start:stop:step")
-    start, stop, step = (float(p) for p in parts)
-    if step <= 0 or stop < start:
-        raise argparse.ArgumentTypeError("need step > 0 and stop >= start")
-    count = int(round((stop - start) / step)) + 1
-    return tuple(start + i * step for i in range(count))
-
-
-def _tau_set(text: str) -> tuple[int, ...]:
     """Comma list of ints and inclusive a..b ranges, e.g. -10..-5,5..10."""
     values: list[int] = []
-    for tok in text.split(","):
-        if not tok:
-            continue
+    for tok in filter(None, text.split(",")):
         if ".." in tok:
             lo_s, hi_s = tok.split("..")
             lo, hi = int(lo_s), int(hi_s)
@@ -59,55 +40,25 @@ def _tau_set(text: str) -> tuple[int, ...]:
             values.extend(range(lo, hi + 1))
         else:
             values.append(int(tok))
-    if not values:
-        raise argparse.ArgumentTypeError("empty tau set")
     return tuple(values)
 
 
-def _add_common(parser: argparse.ArgumentParser, default_pairs: str) -> None:
-    parser.add_argument("--trials", type=int, default=100_000, help="trials per grid cell")
-    parser.add_argument(
-        "--pairs", type=_int_list, default=_int_list(default_pairs), metavar="L[,L...]",
-        help="pilot bit-pair counts",
-    )
-    parser.add_argument(
-        "--np", dest="np_samples", type=int, default=30, metavar="N_P",
-        help="samples per pilot bit",
-    )
-    parser.add_argument(
-        "--n", dest="n_samples", type=_int_list, default=(50,), metavar="N[,N...]",
-        help="samples per data symbol",
-    )
-    parser.add_argument("--k", type=int, default=50, help="data symbols per frame")
-    tau_group = parser.add_mutually_exclusive_group()
-    tau_group.add_argument(
-        "--tau", type=_int_list, default=None, metavar="T[,T...]",
-        help="timing offsets drawn equiprobably",
-    )
-    tau_group.add_argument(
-        "--tau-set", type=_tau_set, default=None, metavar="A..B[,C..D...]",
-        help="timing offsets as inclusive ranges",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="root seed")
-    parser.add_argument("--out", default=None, help="output CSV path")
-    parser.add_argument(
-        "--threads", type=int, default=None,
-        help="worker processes (AMBC_THREADS overrides; default: all cores)",
-    )
-
-
-def _add_snr(parser: argparse.ArgumentParser, single: bool) -> None:
-    if single:
-        parser.add_argument("--snr", type=float, default=None, help="SNR in dB")
-        return
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument(
-        "--snr", type=_float_list, default=None, metavar="DB[,DB...]", help="SNR points in dB"
-    )
-    group.add_argument(
-        "--snr-range", type=_snr_range, default=None, metavar="START:STOP:STEP",
-        help="inclusive SNR grid in dB",
-    )
+def _float_list(text: str) -> tuple[float, ...]:
+    """Comma list of values and inclusive start:stop:step grids, e.g. 0:20:2.5,25."""
+    values: list[float] = []
+    for tok in filter(None, text.split(",")):
+        if ":" in tok:
+            parts = tok.split(":")
+            if len(parts) != 3:
+                raise argparse.ArgumentTypeError(f"expected start:stop:step, got {tok!r}")
+            start, stop, step = (float(p) for p in parts)
+            if not (step > 0 and math.isfinite(stop - start) and stop >= start):
+                raise argparse.ArgumentTypeError(f"bad grid {tok!r}: need start <= stop, step > 0")
+            count = int(round((stop - start) / step)) + 1
+            values.extend(start + i * step for i in range(count))
+        else:
+            values.append(float(tok))
+    return tuple(values)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -120,73 +71,76 @@ def _build_parser() -> argparse.ArgumentParser:
     # negative-number heuristic so they parse as option values
     matcher = re.compile(r"^-\d")
     parser._negative_number_matcher = matcher
-    for command, (kind, help_text, default_pairs, _) in COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
-        _add_snr(p, single=kind == "error_hist")
-        _add_common(p, default_pairs=default_pairs)
+    for command, (kind, help_text, default_pairs, default_grid) in COMMANDS.items():
+        # each flag's dest is an ExperimentConfig field; a flag left out keeps
+        # the field's default, unless the subcommand sets its own below
+        p = sub.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS)
         p._negative_number_matcher = matcher
+        p.set_defaults(
+            kind=kind, snr_grid_db=default_grid, pilot_pairs=default_pairs,
+            trials=100_000, out=f"{command}.csv",
+        )
+        p.add_argument(
+            "--snr", dest="snr_grid_db", type=_float_list, metavar="DB[,START:STOP:STEP...]",
+            help="SNR points in dB; start:stop:step adds an inclusive grid",
+        )
+        p.add_argument("--trials", type=int, help="trials per grid cell")
+        p.add_argument(
+            "--pairs", dest="pilot_pairs", type=_int_list, metavar="L[,L...]",
+            help="pilot bit-pair counts",
+        )
+        p.add_argument(
+            "--np", dest="pilot_bit_samples", type=int, metavar="N_P",
+            help="samples per pilot bit",
+        )
+        p.add_argument(
+            "--n", dest="symbol_samples", type=_int_list, metavar="N[,N...]",
+            help="samples per data symbol (the guard bit's length on mae and hist)",
+        )
+        if kind == "ber_compare":
+            p.add_argument("--k", dest="data_symbols", type=int, help="data symbols per frame")
+        p.add_argument(
+            "--tau", dest="tau_choices", type=_int_list, metavar="T[,A..B...]",
+            help="timing offsets drawn equiprobably; a..b adds an inclusive range",
+        )
+        p.add_argument("--seed", type=int, help="root seed")
+        p.add_argument("--out", help="output CSV path")
+        p.add_argument(
+            "--threads", type=int,
+            help="worker processes (AMBC_THREADS overrides; default: all cores)",
+        )
     return parser
-
-
-def _snr_grid(args, default: tuple[float, ...]) -> tuple[float, ...]:
-    if getattr(args, "snr_range", None) is not None:
-        return args.snr_range
-    if args.snr is not None:
-        return args.snr if isinstance(args.snr, tuple) else (args.snr,)
-    return default
-
-
-def _tau_choices(args) -> tuple[int, ...]:
-    if args.tau_set is not None:
-        return args.tau_set
-    if args.tau is not None:
-        return args.tau
-    return (-10, 10)
-
-
-def _cmd_experiment(args) -> int:
-    kind, _, _, default_grid = COMMANDS[args.command]
-    config = ExperimentConfig(
-        kind=kind,
-        snr_grid_db=_snr_grid(args, default=default_grid),
-        trials=args.trials,
-        pilot_pairs=args.pairs,
-        pilot_bit_samples=args.np_samples,
-        symbol_samples=args.n_samples,
-        data_symbols=args.k,
-        tau_choices=_tau_choices(args),
-        seed=args.seed,
-        out_path=args.out or f"{args.command}.csv",
-        threads=args.threads,
-    )
-    t0 = time.perf_counter()
-    result = run_experiment(config)
-    dt = time.perf_counter() - t0
-    rows = len(result.probabilities) if hasattr(result, "probabilities") else len(result.rows)
-    print(
-        f"{args.command}: {rows} rows -> {config.out_path} "
-        f"[{config.trials} trials/cell, {dt:.1f}s]"
-    )
-    return 0
 
 
 def cli_main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = vars(parser.parse_args(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
+    command, out = args.pop("command"), args.pop("out")
     try:
-        # AMBC_THREADS is input like a flag, so a bad value exits 2 too
-        resolve_threads(args.threads)
+        # flag values, AMBC_THREADS and the output directory are input: all
+        # are checked before any trial runs, and a bad one exits 2
+        config = ExperimentConfig(**args)
+        resolve_threads(config.threads)
+        folder, name = os.path.split(out)
+        if not name or os.path.isdir(out) or not os.path.isdir(folder or "."):
+            raise ValueError(f"--out {out!r} is not a file path in an existing directory")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    t0 = time.perf_counter()
     try:
-        return _cmd_experiment(args)
+        text = run_experiment(config).to_csv()
+        write_csv(text, out)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    dt = time.perf_counter() - t0
+    rows = text.count("\n") - 1
+    print(f"{command}: {rows} rows -> {out} [{config.trials} trials/cell, {dt:.1f}s]")
+    return 0
 
 
 def main() -> None:

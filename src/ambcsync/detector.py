@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import FrameConfig, Waveform, compensate
+from .frame import Waveform, compensate
 
 
 class DegenerateChannelError(ValueError):
@@ -60,7 +60,7 @@ def ed_threshold(n_samples: int, p0: float, p1: float) -> float:
 
 
 def detect_frame(
-    w: Waveform, cfg: FrameConfig, params: DetectorParams, tau_hat: int
+    w: Waveform, params: DetectorParams, tau_hat: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Compensate the clock by ``tau_hat``, then decide every payload symbol.
 
@@ -70,8 +70,8 @@ def detect_frame(
     energy == threshold goes to bit 1 or bit 0 respectively.
     """
     wc = compensate(w, tau_hat)
-    n = cfg.data_symbol_samples
-    k = cfg.data_symbols
+    n = w.config.data_symbol_samples
+    k = w.config.data_symbols
     region = wc.samples[wc.data_start : wc.data_start + k * n]
     energies = (region.real**2 + region.imag**2).reshape(k, n).sum(axis=1)
     above = energies >= params.threshold

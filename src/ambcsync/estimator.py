@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import FrameConfig, Waveform
+from .frame import Waveform
 
 
 class DegenerateSegmentError(ValueError):
@@ -56,13 +56,14 @@ def _validate_matrix(y: np.ndarray) -> np.ndarray:
     return y
 
 
-def collect_windows(w: Waveform, cfg: FrameConfig) -> np.ndarray:
-    """Stack the L pilot sampling windows into an (L, N_p) complex matrix.
+def collect_windows(w: Waveform) -> np.ndarray:
+    """Stack the L pilot windows of ``w.config`` into an (L, N_p) complex matrix.
 
     Row l covers the window nominally aligned to the l-th pilot "1" bit
     under the receiver's clock: start = pilot_start + (2l-1) N_p, so the
     collected windows are spaced 2 N_p apart.
     """
+    cfg = w.config
     n_p = cfg.pilot_bit_samples
     length = 2 * cfg.pilot_pairs * n_p
     start = w.pilot_start
@@ -132,8 +133,3 @@ def estimate_sto(y: np.ndarray) -> StoEstimate:
         candidates=candidates, sigma1_sq=s1, sigma2_sq=s2, log_likelihood=loglik
     )
     return StoEstimate(n0_hat=n0_hat, tau_hat=tau_hat, trace=trace)
-
-
-def estimation_error(tau_true: int, tau_hat: int) -> int:
-    """Signed estimation error tau - tau_hat."""
-    return int(tau_true) - int(tau_hat)

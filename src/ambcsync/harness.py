@@ -24,7 +24,7 @@ from .detector import DetectorParams
 
 # perfbench/spans.py times detection by wrapping ``harness._detect_bits``
 from .detector import detect_frame as _detect_bits
-from .estimator import collect_windows, estimate_sto, estimation_error
+from .estimator import collect_windows, estimate_sto
 from .frame import FrameConfig, apply_sto, build_bit_sequence, synthesize_received
 from .signal_model import ChannelModel, ChannelState, NoisePowers, draw_channel, trial_rng
 
@@ -59,7 +59,6 @@ class ExperimentConfig:
         tau_choices: candidate timing offsets; each trial draws uniformly
             from this set (a singleton pins the offset).
         seed: root seed for the substream derivation.
-        out_path: CSV destination, if any.
         threads: worker count; ``AMBC_THREADS`` overrides, default is the
             available parallelism.
         channel: channel law; the default is Rayleigh block fading with one
@@ -77,7 +76,6 @@ class ExperimentConfig:
     data_symbols: int = 50
     tau_choices: tuple[int, ...] = (-10, 10)
     seed: int = 0
-    out_path: str | None = None
     threads: int | None = None
     channel: ChannelModel = ChannelModel()
     snr_reference: str = "source"
@@ -89,6 +87,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if not self.snr_grid_db:
             raise ValueError("snr_grid_db must be non-empty")
+        if not all(np.isfinite(self.snr_grid_db)):
+            raise ValueError(f"snr_grid_db must be finite, got {self.snr_grid_db}")
         if not self.pilot_pairs or any(l < 1 for l in self.pilot_pairs):
             raise ValueError("pilot_pairs must be non-empty positive integers")
         if self.pilot_bit_samples < 4:
@@ -184,15 +184,17 @@ class BerResult:
 def resolve_threads(explicit: int | None = None) -> int:
     """Worker count: AMBC_THREADS env var, else the explicit value, else all cores.
 
-    Raises ValueError if AMBC_THREADS is set to anything but a positive integer.
+    Raises ValueError if either is set to anything but a positive integer.
     """
+    if explicit is not None and explicit < 1:
+        raise ValueError(f"threads must be a positive integer, got {explicit}")
     env = os.environ.get("AMBC_THREADS")
     if env:
         if not (env.strip().isdecimal() and int(env) >= 1):
             raise ValueError(f"AMBC_THREADS must be a positive integer, got {env!r}")
         return int(env)
     if explicit is not None:
-        return max(1, int(explicit))
+        return int(explicit)
     return os.cpu_count() or 1
 
 
@@ -253,8 +255,8 @@ def _error_counts(
         tau = int(taus[rng.integers(taus.size)])
         ch = channel(rng)
         w = synthesize_received(bits, fcfg, ch, noise, rng)
-        est = estimate_sto(collect_windows(apply_sto(w, tau), fcfg))
-        errors[i] = estimation_error(tau, est.tau_hat)
+        est = estimate_sto(collect_windows(apply_sto(w, tau)))
+        errors[i] = tau - est.tau_hat
     span = config.pilot_bit_samples
     return np.bincount(errors + span, minlength=2 * span + 1)
 
@@ -282,11 +284,11 @@ def _ber_chunk(
         w = synthesize_received(bits, fcfg, ch, noise, rng)
         params = DetectorParams.from_powers(fcfg.data_symbol_samples, ch.p0, ch.p1)
 
-        ideal_bits, _ = _detect_bits(w, fcfg, params, 0)
+        ideal_bits, _ = _detect_bits(w, params, 0)
         w_sto = apply_sto(w, tau)
-        nocomp_bits, _ = _detect_bits(w_sto, fcfg, params, 0)
-        est = estimate_sto(collect_windows(w_sto, fcfg))
-        comp_bits, _ = _detect_bits(w_sto, fcfg, params, est.tau_hat)
+        nocomp_bits, _ = _detect_bits(w_sto, params, 0)
+        est = estimate_sto(collect_windows(w_sto))
+        comp_bits, _ = _detect_bits(w_sto, params, est.tau_hat)
 
         e_ideal += int((ideal_bits != payload).sum())
         e_nocomp += int((nocomp_bits != payload).sum())
@@ -328,11 +330,8 @@ def _execute(config: ExperimentConfig) -> list[list]:
     return [outputs[i * per_cell : (i + 1) * per_cell] for i in range(len(cells))]
 
 
-def run_mae(config: ExperimentConfig) -> MaeResult:
+def _mae(config: ExperimentConfig, grouped: list[list]) -> MaeResult:
     """Mean absolute estimation error per (SNR, L) cell."""
-    if config.kind != "mae_vs_snr":
-        raise ValueError(f"config kind is {config.kind!r}, expected 'mae_vs_snr'")
-    grouped = _execute(config)
     span = config.pilot_bit_samples
     abs_errors = np.abs(np.arange(-span, span + 1))
     rows = []
@@ -342,11 +341,8 @@ def run_mae(config: ExperimentConfig) -> MaeResult:
     return MaeResult(rows=tuple(rows))
 
 
-def run_error_hist(config: ExperimentConfig) -> ErrorHistResult:
+def _error_hist(config: ExperimentConfig, grouped: list[list]) -> ErrorHistResult:
     """Empirical pmf of the signed estimation error at one (SNR, L) point."""
-    if config.kind != "error_hist":
-        raise ValueError(f"config kind is {config.kind!r}, expected 'error_hist'")
-    grouped = _execute(config)
     counts = np.sum(grouped[0], axis=0)
     span = config.pilot_bit_samples
     probs = {
@@ -357,11 +353,8 @@ def run_error_hist(config: ExperimentConfig) -> ErrorHistResult:
     return ErrorHistResult(probabilities=probs, trials=config.trials)
 
 
-def run_ber(config: ExperimentConfig) -> BerResult:
+def _ber(config: ExperimentConfig, grouped: list[list]) -> BerResult:
     """Paired BER under no compensation, estimated compensation, and ideal sync."""
-    if config.kind != "ber_compare":
-        raise ValueError(f"config kind is {config.kind!r}, expected 'ber_compare'")
-    grouped = _execute(config)
     rows = []
     for cell, chunks in zip(_cells(config), grouped):
         e_ideal = sum(c[0] for c in chunks)
@@ -374,20 +367,17 @@ def run_ber(config: ExperimentConfig) -> BerResult:
     return BerResult(rows=tuple(rows))
 
 
-# kind -> (chunk function each task runs, runner that aggregates the chunks)
+# kind -> (chunk function each task runs, aggregator of the grouped chunk outputs)
 _KINDS = {
-    "mae_vs_snr": (_error_counts, run_mae),
-    "error_hist": (_error_counts, run_error_hist),
-    "ber_compare": (_ber_chunk, run_ber),
+    "mae_vs_snr": (_error_counts, _mae),
+    "error_hist": (_error_counts, _error_hist),
+    "ber_compare": (_ber_chunk, _ber),
 }
 
 
-def run_experiment(config: ExperimentConfig):
-    """Dispatch on the experiment kind; optionally write the CSV."""
-    result = _KINDS[config.kind][1](config)
-    if config.out_path:
-        write_csv(result.to_csv(), config.out_path)
-    return result
+def run_experiment(config: ExperimentConfig) -> MaeResult | ErrorHistResult | BerResult:
+    """Run every trial of the experiment and aggregate them by its kind."""
+    return _KINDS[config.kind][1](config, _execute(config))
 
 
 def write_csv(text: str, path: str) -> None:

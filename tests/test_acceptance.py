@@ -16,10 +16,7 @@ from ambcsync import (
     ExperimentConfig,
     ed_threshold,
     estimate_sto,
-    run_ber,
-    run_error_hist,
     run_experiment,
-    run_mae,
     variance_estimates,
 )
 
@@ -52,7 +49,7 @@ def test_criterion_1_mae_point_reproduction():
         tau_choices=(-10, 10), seed=101,
         channel=ChannelModel("static", rho=0.5), snr_reference="mean_received",
     )
-    rows = run_mae(config).rows
+    rows = run_experiment(config).rows
     lines, misses = [], []
     for snr, pairs, mae, _ in rows:
         ref = targets[(snr, pairs)]
@@ -70,7 +67,7 @@ def test_criterion_1_mae_point_reproduction():
         # power remapping therefore reduces to a shift along the SNR axis,
         # and the relevant limit of every remapping is the noise-free floor.
         floor_cfg = replace(config, snr_grid_db=(60.0,), trials=20_000)
-        floors = {pairs: mae for _, pairs, mae, _ in run_mae(floor_cfg).rows}
+        floors = {pairs: mae for _, pairs, mae, _ in run_experiment(floor_cfg).rows}
         unreachable = [
             (snr, pairs, ref)
             for snr, pairs, _, ref in misses
@@ -94,7 +91,7 @@ def test_criterion_2_error_distribution_shape():
         pilot_bit_samples=30,
         tau_choices=tuple(range(-10, -4)) + tuple(range(5, 11)), seed=102,
     )
-    pmf = run_error_hist(config).probabilities
+    pmf = run_experiment(config).probabilities
     n = config.trials
     mode_at_zero = pmf[0] == max(pmf.values())
     p_small = sum(p for e, p in pmf.items() if abs(e) <= 2)
@@ -125,7 +122,7 @@ def test_criterion_3_mae_trends():
         pilot_pairs=pairs, pilot_bit_samples=np_samples, tau_choices=(-10, 10),
         seed=103,
     )
-    mae = {(snr, l): m for snr, l, m, _ in run_mae(config).rows}
+    mae = {(snr, l): m for snr, l, m, _ in run_experiment(config).rows}
 
     def slack(value):
         # conservative: Var|e| <= E|e| * max|e| with max|e| <= N_p
@@ -143,7 +140,7 @@ def test_criterion_3_mae_trends():
                 problems.append(f"snr-trend broken at L={l} step {i}")
 
     floor_cfg = replace(config, snr_grid_db=(25.0, 35.0), seed=104)
-    fmae = {(snr, l): m for snr, l, m, _ in run_mae(floor_cfg).rows}
+    fmae = {(snr, l): m for snr, l, m, _ in run_experiment(floor_cfg).rows}
     floor_lines = []
     for l in pairs:
         rel = abs(fmae[(25.0, l)] - fmae[(35.0, l)]) / fmae[(35.0, l)]
@@ -167,7 +164,7 @@ def test_criterion_4_ber_ordering():
             data_symbols=50, tau_choices=tuple(range(-10, -4)) + tuple(range(5, 11)),
             seed=105,
         )
-        for snr, n, no_comp, comp, ideal, bits in run_ber(config).rows:
+        for snr, n, no_comp, comp, ideal, bits in run_experiment(config).rows:
             se = lambda p: math.sqrt(max(p * (1 - p), 1e-12) / bits)
             pair_se = lambda a, b: math.sqrt(se(a) ** 2 + se(b) ** 2)
             lines.append(
@@ -300,7 +297,7 @@ def test_criterion_7_threshold_correctness():
 # ------------------------------------------------------------------ criterion 8
 
 
-def test_criterion_8_worker_count_determinism(tmp_path):
+def test_criterion_8_worker_count_determinism():
     configs = {
         "mae": ExperimentConfig(
             kind="mae_vs_snr", snr_grid_db=(5.0, 10.0), trials=600, pilot_pairs=(10,),
@@ -321,9 +318,7 @@ def test_criterion_8_worker_count_determinism(tmp_path):
     for name, config in configs.items():
         outputs = set()
         for workers in (1, 4, 16):
-            path = tmp_path / f"{name}_{workers}.csv"
-            run_experiment(replace(config, threads=workers, out_path=str(path)))
-            outputs.add(path.read_bytes())
+            outputs.add(run_experiment(replace(config, threads=workers)).to_csv())
         identical = len(outputs) == 1
         ok &= identical
         details.append(f"{name}: {'identical' if identical else 'DIVERGENT'} across 1/4/16 workers")

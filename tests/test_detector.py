@@ -120,7 +120,7 @@ def frame_with_windows(windows):
     cfg = FrameConfig(1, 1, 4, k, n)
     samples = np.zeros(cfg.total_samples, dtype=complex)
     samples[cfg.data_start : cfg.data_start + k * n] = windows.ravel()
-    return Waveform(samples, cfg, cfg.pilot_start, cfg.data_start), cfg
+    return Waveform(samples, cfg, cfg.pilot_start, cfg.data_start)
 
 
 def unit_window(energy, n=16):
@@ -132,8 +132,8 @@ ANY_PARAMS = DetectorParams(n_samples=16, p0=1.0, p1=2.0, threshold=15.0)
 
 
 def test_energy_statistic_basic():
-    w, cfg = frame_with_windows([np.zeros(4), np.exp(1j * np.array([0.1, 1.2, 2.3, 3.4]))])
-    _, energies = detect_frame(w, cfg, ANY_PARAMS, 0)
+    w = frame_with_windows([np.zeros(4), np.exp(1j * np.array([0.1, 1.2, 2.3, 3.4]))])
+    _, energies = detect_frame(w, ANY_PARAMS, 0)
     assert energies[0] == 0.0
     assert energies[1] == pytest.approx(4.0, rel=1e-12)
 
@@ -145,25 +145,25 @@ def test_energy_statistic_matches_naive_sum():
         naive = 0.0
         for z in window:  # two-pass style reference accumulation
             naive += z.real * z.real + z.imag * z.imag
-        w, cfg = frame_with_windows([window])
-        _, energies = detect_frame(w, cfg, ANY_PARAMS, 0)
+        w = frame_with_windows([window])
+        _, energies = detect_frame(w, ANY_PARAMS, 0)
         assert energies[0] == pytest.approx(naive, rel=1e-12)
 
 
 def test_decide_orientations():
-    w, cfg = frame_with_windows([unit_window(16), unit_window(14)])
+    w = frame_with_windows([unit_window(16), unit_window(14)])
     up = DetectorParams(n_samples=16, p0=1.0, p1=2.0, threshold=15.0)
-    assert detect_frame(w, cfg, up, 0)[0].tolist() == [1, 0]
+    assert detect_frame(w, up, 0)[0].tolist() == [1, 0]
     down = DetectorParams(n_samples=16, p0=2.0, p1=1.0, threshold=15.0)
-    assert detect_frame(w, cfg, down, 0)[0].tolist() == [0, 1]
+    assert detect_frame(w, down, 0)[0].tolist() == [0, 1]
 
 
 def test_decide_boundary_goes_to_geq_branch():
-    w, cfg = frame_with_windows([unit_window(15)])
+    w = frame_with_windows([unit_window(15)])
     up = DetectorParams(n_samples=16, p0=1.0, p1=2.0, threshold=15.0)
     down = DetectorParams(n_samples=16, p0=2.0, p1=1.0, threshold=15.0)
-    assert detect_frame(w, cfg, up, 0)[0].tolist() == [1]
-    assert detect_frame(w, cfg, down, 0)[0].tolist() == [0]
+    assert detect_frame(w, up, 0)[0].tolist() == [1]
+    assert detect_frame(w, down, 0)[0].tolist() == [0]
 
 
 def test_decide_swap_relabel_symmetry():
@@ -172,14 +172,14 @@ def test_decide_swap_relabel_symmetry():
     t = ed_threshold(50, 1.0, 3.0)
     assert t == pytest.approx(ed_threshold(50, 3.0, 1.0), rel=1e-14)
     windows = [np.r_[np.sqrt(gamma), np.zeros(49)] for gamma in (0.0, t / 2, t, t * 1.5)]
-    w, cfg = frame_with_windows(windows)
+    w = frame_with_windows(windows)
     # put the threshold exactly on the third window's energy
-    _, energies = detect_frame(w, cfg, ANY_PARAMS, 0)
+    _, energies = detect_frame(w, ANY_PARAMS, 0)
     assert energies[2] == pytest.approx(t, rel=1e-14)
     a = DetectorParams(50, 1.0, 3.0, energies[2])
     b = DetectorParams(50, 3.0, 1.0, energies[2])
-    bits_a, _ = detect_frame(w, cfg, a, 0)
-    bits_b, _ = detect_frame(w, cfg, b, 0)
+    bits_a, _ = detect_frame(w, a, 0)
+    bits_b, _ = detect_frame(w, b, 0)
     assert bits_a.tolist() == [0, 0, 1, 1]
     assert (bits_a == 1 - bits_b).all()
 
@@ -240,7 +240,7 @@ def test_compensate_out_of_range():
 def test_detect_frame_empty_payload():
     w, cfg, ch, _ = make_frame(k=0)
     params = DetectorParams.from_powers(cfg.data_symbol_samples, ch.p0, ch.p1)
-    bits, energies = detect_frame(w, cfg, params, 0)
+    bits, energies = detect_frame(w, params, 0)
     assert bits.shape == energies.shape == (0,)
 
 
@@ -248,7 +248,7 @@ def test_detect_frame_noiseless_all_correct():
     # strong power contrast and nearly no noise: every decision is right
     w, cfg, ch, payload = make_frame(k=40, n=50, seed=5, snr_db=60.0)
     params = DetectorParams.from_powers(cfg.data_symbol_samples, ch.p0, ch.p1)
-    bits, energies = detect_frame(w, cfg, params, 0)
+    bits, energies = detect_frame(w, params, 0)
     assert bits.shape == energies.shape == (40,)
     assert bits.dtype == np.int64
     assert np.array_equal(bits, payload)
@@ -267,7 +267,7 @@ def test_half_symbol_offset_without_compensation_is_coin_flip():
         )
         params = DetectorParams.from_powers(cfg.data_symbol_samples, ch.p0, ch.p1)
         shifted = apply_sto(w, 5)
-        bits, _ = detect_frame(shifted, cfg, params, 0)
+        bits, _ = detect_frame(shifted, params, 0)
         errors += int((bits != payload).sum())
         total_bits += k
     assert total_bits == 10_000
@@ -277,8 +277,8 @@ def test_half_symbol_offset_without_compensation_is_coin_flip():
 def test_perfect_compensation_equals_ideal_detection():
     w, cfg, ch, payload = make_frame(k=30, n=25, seed=11, snr_db=8.0)
     params = DetectorParams.from_powers(cfg.data_symbol_samples, ch.p0, ch.p1)
-    ideal_bits, ideal_energies = detect_frame(w, cfg, params, 0)
+    ideal_bits, ideal_energies = detect_frame(w, params, 0)
     for tau in (-9, 9):
-        bits, energies = detect_frame(apply_sto(w, tau), cfg, params, tau)
+        bits, energies = detect_frame(apply_sto(w, tau), params, tau)
         assert np.array_equal(energies, ideal_energies)
         assert np.array_equal(bits, ideal_bits)

@@ -17,7 +17,6 @@ from ambcsync import (
     collect_windows,
     draw_channel,
     estimate_sto,
-    estimation_error,
     gen_cgn_block,
     log_likelihood_reduced,
     synthesize_received,
@@ -45,7 +44,7 @@ def exact_two_segment(rng, rows, cols, split, v1, v2):
 
 def test_collect_windows_shape_and_content():
     w, cfg, ch = pilot_waveform(pairs=3, np_samples=10, seed=9)
-    y = collect_windows(w, cfg)
+    y = collect_windows(w)
     assert y.shape == (3, 10)
     # aligned clock, zero noise: every window is the reflecting bit exactly
     s = gen_cgn_block(cfg.total_samples, 1.0, np.random.default_rng(9))
@@ -55,14 +54,14 @@ def test_collect_windows_shape_and_content():
 
 
 def test_collect_windows_single_pair():
-    w, cfg, _ = pilot_waveform(pairs=1, np_samples=8)
-    assert collect_windows(w, cfg).shape == (1, 8)
+    w, _, _ = pilot_waveform(pairs=1, np_samples=8)
+    assert collect_windows(w).shape == (1, 8)
 
 
 def test_collect_windows_offset_rows_have_foreign_head():
     w, cfg, ch = pilot_waveform(pairs=4, np_samples=12, seed=10)
     s = gen_cgn_block(cfg.total_samples, 1.0, np.random.default_rng(10))
-    y = collect_windows(apply_sto(w, -4), cfg)
+    y = collect_windows(apply_sto(w, -4))
     for row in range(4):
         true_start = cfg.pilot_start + (2 * row + 1) * 12 - 4
         seg = s[true_start : true_start + 12]
@@ -71,12 +70,12 @@ def test_collect_windows_offset_rows_have_foreign_head():
 
 
 def test_collect_windows_out_of_range():
-    w, cfg, _ = pilot_waveform(pairs=2, np_samples=8)
+    w, _, _ = pilot_waveform(pairs=2, np_samples=8)
     from dataclasses import replace
 
     truncated = replace(w, samples=w.samples[: w.pilot_start + 20])
     with pytest.raises(ValueError):
-        collect_windows(truncated, cfg)
+        collect_windows(truncated)
 
 
 # ------------------------------------------------------------ variance_estimates
@@ -254,12 +253,6 @@ def test_offset_output_domain(seed, rows, cols):
     assert (neg_min <= tau_hat <= -2) or (1 <= tau_hat <= pos_max)
 
 
-def test_estimation_error_examples():
-    assert estimation_error(-7, -7) == 0
-    assert estimation_error(10, 8) == 2
-    assert estimation_error(-10, -8) == -2
-
-
 def test_recovery_rate_nondecreasing_in_pilot_length():
     # physical pilot trials at 10 dB: hit rate grows with L (2-SE slack)
     snr_db = 10.0
@@ -274,7 +267,7 @@ def test_recovery_rate_nondecreasing_in_pilot_length():
             rng = trial_rng(424, li, t)
             ch = draw_channel(rng, noise)
             w = synthesize_received(bits, cfg, ch, noise, rng)
-            est = estimate_sto(collect_windows(apply_sto(w, -7), cfg))
+            est = estimate_sto(collect_windows(apply_sto(w, -7)))
             hits += est.n0_hat == 7
         rates.append(hits / trials)
     se = math.sqrt(0.25 / trials)

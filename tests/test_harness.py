@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,13 +14,10 @@ from ambcsync import (
     ChannelModel,
     ExperimentConfig,
     resolve_threads,
-    run_ber,
-    run_error_hist,
     run_experiment,
-    run_mae,
     write_csv,
 )
-from ambcsync import harness
+from ambcsync import cli, harness
 from ambcsync.cli import cli_main
 
 
@@ -94,11 +92,10 @@ def test_channel_fields_validation():
         mae_config(snr_reference="backscatter")
 
 
-def test_kind_mismatch_rejected():
-    with pytest.raises(ValueError):
-        run_ber(mae_config())
-    with pytest.raises(ValueError):
-        run_error_hist(mae_config())
+@pytest.mark.parametrize("snr", [math.nan, math.inf, -math.inf])
+def test_non_finite_snr_rejected(snr):
+    with pytest.raises(ValueError, match="finite"):
+        mae_config(snr_grid_db=(5.0, snr))
 
 
 def test_resolve_threads(monkeypatch):
@@ -108,6 +105,9 @@ def test_resolve_threads(monkeypatch):
     monkeypatch.setenv("AMBC_THREADS", "5")
     assert resolve_threads(3) == 5  # env var wins over the explicit value
     assert resolve_threads() == 5
+    for explicit in (0, -3):  # refused even where the env var would win
+        with pytest.raises(ValueError, match="threads"):
+            resolve_threads(explicit)
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
@@ -142,12 +142,12 @@ def test_pool_size_capped_by_tasks_and_cores(monkeypatch):
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
     monkeypatch.delenv("AMBC_THREADS", raising=False)
     config = mae_config(snr_grid_db=(5.0,), pilot_pairs=(8,), trials=3)
-    serial = run_mae(config)
+    serial = run_experiment(config)
     # 64 requested workers, 3 trials: 3 one-trial tasks need only 3 processes
-    assert run_mae(replace(config, threads=64)) == serial
+    assert run_experiment(replace(config, threads=64)) == serial
     # 64 requested workers, 100 trials: still 64 tasks, but one process per core
     config = replace(config, trials=100)
-    assert run_mae(replace(config, threads=64)) == run_mae(config)
+    assert run_experiment(replace(config, threads=64)) == run_experiment(config)
     assert pools == [(3, 3), (4, 64)]
 
 
@@ -156,15 +156,15 @@ def test_pool_size_capped_by_tasks_and_cores(monkeypatch):
 
 def test_mae_deterministic_and_worker_independent():
     config = mae_config()
-    first = run_mae(config)
-    again = run_mae(config)
+    first = run_experiment(config)
+    again = run_experiment(config)
     assert first == again
-    multi = run_mae(replace(config, threads=2))
+    multi = run_experiment(replace(config, threads=2))
     assert multi == first
     assert multi.to_csv() == first.to_csv()
 
 
-def test_default_channel_fields_change_nothing(tmp_path):
+def test_default_channel_fields_change_nothing():
     spelled = dict(channel=ChannelModel("rayleigh", rho=1.0), snr_reference="source")
     configs = (
         mae_config(trials=60),
@@ -174,14 +174,12 @@ def test_default_channel_fields_change_nothing(tmp_path):
             tau_choices=(-5, 5), seed=3, threads=1,
         ),
     )
-    for i, config in enumerate(configs):
-        implicit, explicit = tmp_path / f"implicit{i}.csv", tmp_path / f"explicit{i}.csv"
-        run_experiment(replace(config, out_path=str(implicit)))
-        run_experiment(replace(config, out_path=str(explicit), **spelled))
-        assert implicit.read_bytes() == explicit.read_bytes()
+    for config in configs:
+        implicit = run_experiment(config).to_csv()
+        assert run_experiment(replace(config, **spelled)).to_csv() == implicit
 
 
-def test_static_channel_worker_independent(tmp_path):
+def test_static_channel_worker_independent():
     static = dict(channel=ChannelModel("static", rho=0.5), snr_reference="mean_received")
     configs = {
         "mae": mae_config(trials=120, **static),
@@ -192,17 +190,13 @@ def test_static_channel_worker_independent(tmp_path):
         ),
     }
     for name, config in configs.items():
-        outputs = set()
-        for workers in (1, 4):
-            path = tmp_path / f"{name}_{workers}.csv"
-            run_experiment(replace(config, threads=workers, out_path=str(path)))
-            outputs.add(path.read_bytes())
+        outputs = {run_experiment(replace(config, threads=w)).to_csv() for w in (1, 4)}
         assert len(outputs) == 1, name
 
 
 def test_single_trial_repeatable():
     config = mae_config(trials=1, snr_grid_db=(5.0,), pilot_pairs=(8,))
-    assert run_mae(config) == run_mae(config)
+    assert run_experiment(config) == run_experiment(config)
 
 
 def test_hist_worker_independent():
@@ -210,8 +204,8 @@ def test_hist_worker_independent():
         kind="error_hist", snr_grid_db=(10.0,), trials=500, pilot_pairs=(8,),
         pilot_bit_samples=16, tau_choices=(-5, 5), seed=3, threads=1,
     )
-    a = run_error_hist(config)
-    b = run_error_hist(replace(config, threads=2))
+    a = run_experiment(config)
+    b = run_experiment(replace(config, threads=2))
     assert a == b
 
 
@@ -223,7 +217,7 @@ def test_hist_is_normalized_pmf():
         kind="error_hist", snr_grid_db=(12.0,), trials=2000, pilot_pairs=(10,),
         pilot_bit_samples=20, tau_choices=(-6, 6), seed=20, threads=2,
     )
-    hist = run_error_hist(config)
+    hist = run_experiment(config)
     assert abs(sum(hist.probabilities.values()) - 1.0) < 1e-12
     assert all(p > 0 for p in hist.probabilities.values())
 
@@ -236,15 +230,27 @@ def test_hist_noise_free_floor():
         kind="error_hist", snr_grid_db=(120.0,), trials=400, pilot_pairs=(30,),
         pilot_bit_samples=30, tau_choices=(-10, -7, 7, 10), seed=21, threads=2,
     )
-    hist = run_error_hist(config)
+    hist = run_experiment(config)
     pmf = hist.probabilities
     assert pmf[0] == max(pmf.values())
     assert pmf[0] > 0.6
     assert all(abs(e) <= 30 for e in pmf)
 
 
+def test_hist_mass_sits_at_tau_minus_tau_hat(monkeypatch):
+    # an estimator that always answers 3: every error is tau - 3
+    monkeypatch.setattr(harness, "estimate_sto", lambda y: SimpleNamespace(tau_hat=3))
+    config = ExperimentConfig(
+        kind="error_hist", snr_grid_db=(10.0,), trials=200, pilot_pairs=(8,),
+        pilot_bit_samples=16, tau_choices=(-5, 5), seed=3, threads=1,
+    )
+    pmf = run_experiment(config).probabilities
+    assert set(pmf) == {-8, 2}
+    assert sum(pmf.values()) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_mae_rows_cover_grid():
-    res = run_mae(mae_config())
+    res = run_experiment(mae_config())
     assert [(r[0], r[1]) for r in res.rows] == [
         (5.0, 8), (5.0, 16), (10.0, 8), (10.0, 16),
     ]
@@ -257,7 +263,7 @@ def test_ber_rows_and_bounds():
         pilot_bit_samples=24, symbol_samples=(20, 40), data_symbols=10,
         tau_choices=(-8, 8), seed=7, threads=2,
     )
-    res = run_ber(config)
+    res = run_experiment(config)
     assert [(r[0], r[1]) for r in res.rows] == [(15.0, 20), (15.0, 40)]
     for row in res.rows:
         _, _, no_comp, comp, ideal, bits = row
@@ -273,7 +279,7 @@ def test_ber_ordering_high_snr():
         pilot_bit_samples=30, symbol_samples=(50,), data_symbols=20,
         tau_choices=(-10, -8, -6, 6, 8, 10), seed=17, threads=2,
     )
-    (_, _, no_comp, comp, ideal, bits), = run_ber(config).rows
+    (_, _, no_comp, comp, ideal, bits), = run_experiment(config).rows
     se = math.sqrt(0.25 / bits)
     assert ideal <= comp + 2 * se
     assert comp <= no_comp + 2 * se
@@ -288,7 +294,7 @@ def test_ber_longer_symbols_average_better():
         pilot_bit_samples=30, symbol_samples=(50, 100), data_symbols=20,
         tau_choices=(-10, 10), seed=23, threads=2,
     )
-    rows = run_ber(config).rows
+    rows = run_experiment(config).rows
     ideal = {n: r_ideal for _, n, _, _, r_ideal, _ in rows}
     bits = rows[0][5]
     se = math.sqrt(
@@ -303,7 +309,7 @@ def test_ber_pure_noise_limit():
         pilot_bit_samples=16, symbol_samples=(20,), data_symbols=20,
         tau_choices=(-5, 5), seed=29, threads=2,
     )
-    (_, _, no_comp, comp, ideal, _), = run_ber(config).rows
+    (_, _, no_comp, comp, ideal, _), = run_experiment(config).rows
     for ber in (no_comp, comp, ideal):
         assert ber == pytest.approx(0.5, abs=0.02)
 
@@ -312,8 +318,7 @@ def test_ber_pure_noise_limit():
 
 
 def test_mae_csv_format(tmp_path):
-    config = mae_config(trials=50, out_path=str(tmp_path / "mae.csv"))
-    run_experiment(config)
+    write_csv(run_experiment(mae_config(trials=50)).to_csv(), str(tmp_path / "mae.csv"))
     raw = (tmp_path / "mae.csv").read_bytes()
     assert b"\r" not in raw
     lines = raw.decode("utf-8").splitlines()
@@ -328,9 +333,9 @@ def test_hist_csv_format(tmp_path):
     config = ExperimentConfig(
         kind="error_hist", snr_grid_db=(10.0,), trials=300, pilot_pairs=(8,),
         pilot_bit_samples=16, tau_choices=(-5, 5), seed=3, threads=1,
-        out_path=str(tmp_path / "hist.csv"),
     )
     result = run_experiment(config)
+    write_csv(result.to_csv(), str(tmp_path / "hist.csv"))
     lines = (tmp_path / "hist.csv").read_text().splitlines()
     assert lines[0] == "epsilon,probability"
     eps_column = [int(line.split(",")[0]) for line in lines[1:]]
@@ -344,9 +349,9 @@ def test_ber_csv_format(tmp_path):
     config = ExperimentConfig(
         kind="ber_compare", snr_grid_db=(5.0,), trials=40, pilot_pairs=(8,),
         pilot_bit_samples=16, symbol_samples=(12,), data_symbols=5,
-        tau_choices=(-5, 5), seed=3, threads=1, out_path=str(tmp_path / "ber.csv"),
+        tau_choices=(-5, 5), seed=3, threads=1,
     )
-    run_experiment(config)
+    write_csv(run_experiment(config).to_csv(), str(tmp_path / "ber.csv"))
     lines = (tmp_path / "ber.csv").read_text().splitlines()
     assert lines[0] == "snr_db,N,ber_no_comp,ber_comp,ber_ideal,bits"
     assert len(lines) == 2
@@ -372,21 +377,62 @@ def test_write_csv_failure_keeps_earlier_file(tmp_path):
 # -------------------------------------------------------------------------- CLI
 
 
+@pytest.fixture
+def run_spy(monkeypatch):
+    """Replaces the CLI's runner; the list records every config it was given."""
+    calls = []
+    monkeypatch.setattr(cli, "run_experiment", calls.append)
+    return calls
+
+
 def test_cli_bad_flag_exits_2(capsys):
     assert cli_main(["mae", "--bogus"]) == 2
     assert cli_main([]) == 2
-    assert cli_main(["mae", "--snr", "5", "--snr-range", "0:10:5"]) == 2
+    # malformed grids, an empty range and flags that no longer exist
+    for argv in (
+        ["mae", "--snr", "0:10"], ["mae", "--snr", "10:0:5"], ["mae", "--snr", "0:inf:5"],
+        ["hist", "--tau", "6..4"], ["mae", "--snr-range", "0:10:5"],
+        ["hist", "--tau-set", "-6..-4"], ["mae", "--k", "5"], ["hist", "--k", "5"],
+    ):
+        assert cli_main(argv) == 2, argv
     capsys.readouterr()
 
 
-def test_cli_runtime_failure_exits_1(tmp_path, capsys):
-    # detectability violation surfaces as a config error -> exit 1
+@pytest.mark.parametrize(
+    "flags, word",
+    [
+        (["--tau", "20"], "tau"), (["--np", "3"], "pilot_bit_samples"),
+        (["--trials", "0"], "trials"), (["--snr", "nan"], "finite"),
+        (["--threads", "-3"], "threads"), (["--threads", "0"], "threads"),
+    ],
+)
+def test_cli_bad_value_exits_2_before_any_trial(tmp_path, capsys, run_spy, flags, word):
+    out = tmp_path / "x.csv"
+    assert cli_main(["mae", "--snr", "5", *flags, "--out", str(out)]) == 2
+    assert word in capsys.readouterr().err
+    assert run_spy == [] and not out.exists()
+
+
+@pytest.mark.parametrize("name", ["missing/x.csv", ".", ""])
+def test_cli_bad_out_path_exits_2_before_any_trial(tmp_path, capsys, run_spy, name):
+    # a file in a directory that does not exist, a directory itself, no name
+    out = str(tmp_path / name) if name else ""
+    assert cli_main(["mae", "--snr", "5", "--trials", "10", "--out", out]) == 2
+    assert repr(out) in capsys.readouterr().err
+    assert run_spy == []
+
+
+def test_cli_runtime_failure_exits_1(tmp_path, monkeypatch, capsys):
+    def refuse(text, path):
+        raise OSError(f"disk full while writing {path}")
+
+    monkeypatch.setattr(cli, "write_csv", refuse)
     code = cli_main(
-        ["mae", "--snr", "5", "--tau", "20", "--np", "30", "--trials", "10",
-         "--out", str(tmp_path / "x.csv")]
+        ["mae", "--snr", "5", "--pairs", "8", "--np", "16", "--tau", "-5,5",
+         "--trials", "10", "--threads", "1", "--out", str(tmp_path / "x.csv")]
     )
     assert code == 1
-    assert "tau" in capsys.readouterr().err
+    assert "disk full" in capsys.readouterr().err
 
 
 def test_cli_bad_threads_env_exits_2(tmp_path, monkeypatch, capsys):
@@ -400,7 +446,7 @@ def test_cli_bad_threads_env_exits_2(tmp_path, monkeypatch, capsys):
 def test_cli_mae_writes_csv(tmp_path, capsys):
     out = tmp_path / "m.csv"
     code = cli_main(
-        ["mae", "--snr-range", "0:10:5", "--pairs", "8", "--np", "16",
+        ["mae", "--snr", "0:10:5", "--pairs", "8", "--np", "16",
          "--tau", "-5,5", "--trials", "60", "--seed", "9", "--threads", "1",
          "--out", str(out)]
     )
@@ -415,7 +461,7 @@ def test_cli_hist_tau_set(tmp_path, capsys):
     out = tmp_path / "h.csv"
     code = cli_main(
         ["hist", "--snr", "12", "--pairs", "10", "--np", "20",
-         "--tau-set", "-6..-4,4..6", "--trials", "80", "--seed", "3",
+         "--tau", "-6..-4,4..6", "--trials", "80", "--seed", "3",
          "--threads", "1", "--out", str(out)]
     )
     assert code == 0
