@@ -18,7 +18,9 @@ from ambcsync import (
     collect_windows,
     detect_frame,
     estimate_sto,
+    log_likelihood_reduced,
     synthesize_received,
+    variance_estimates,
 )
 
 SEED = 7
@@ -51,16 +53,13 @@ print(f"\ninjected sampling-clock offset: {TAU_TRUE} samples")
 
 pilot_matrix = collect_windows(received)
 estimate = estimate_sto(pilot_matrix)
-trace = estimate.trace
 print(f"\npilot matrix: {pilot_matrix.shape[0]} x {pilot_matrix.shape[1]}")
 print("likelihood scan around the peak:")
-peak = int(np.argmax(trace.log_likelihood))
-for i in range(max(0, peak - 3), min(len(trace.candidates), peak + 4)):
-    mark = " <-- argmax" if i == peak else ""
-    print(
-        f"  n0={trace.candidates[i]:2d}  s1^2={trace.sigma1_sq[i]:7.3f}"
-        f"  s2^2={trace.sigma2_sq[i]:7.3f}  loglik={trace.log_likelihood[i]:10.2f}{mark}"
-    )
+for n0 in range(max(2, estimate.n0_hat - 3), min(cfg.pilot_bit_samples, estimate.n0_hat + 4)):
+    s1, s2 = variance_estimates(pilot_matrix, n0)
+    loglik = log_likelihood_reduced(pilot_matrix, n0)
+    mark = " <-- argmax" if n0 == estimate.n0_hat else ""
+    print(f"  n0={n0:2d}  s1^2={s1:7.3f}  s2^2={s2:7.3f}  loglik={loglik:10.2f}{mark}")
 print(f"estimate: transition at n0={estimate.n0_hat} -> tau_hat={estimate.tau_hat}")
 print(f"estimation error: {TAU_TRUE - estimate.tau_hat}")
 

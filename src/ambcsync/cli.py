@@ -28,6 +28,16 @@ COMMANDS = {
 }
 
 
+# a list flag names at most this many values; a grid or range is counted
+# before it is expanded, so a typo cannot exhaust memory
+MAX_VALUES = 10_000
+
+
+def _check_room(values: list, count: float) -> None:
+    if len(values) + count > MAX_VALUES:
+        raise argparse.ArgumentTypeError(f"more than {MAX_VALUES} values")
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     """Comma list of ints and inclusive a..b ranges, e.g. -10..-5,5..10."""
     values: list[int] = []
@@ -37,8 +47,10 @@ def _int_list(text: str) -> tuple[int, ...]:
             lo, hi = int(lo_s), int(hi_s)
             if hi < lo:
                 raise argparse.ArgumentTypeError(f"empty range {tok!r}")
+            _check_room(values, hi - lo + 1)
             values.extend(range(lo, hi + 1))
         else:
+            _check_room(values, 1)
             values.append(int(tok))
     return tuple(values)
 
@@ -54,9 +66,11 @@ def _float_list(text: str) -> tuple[float, ...]:
             start, stop, step = (float(p) for p in parts)
             if not (step > 0 and math.isfinite(stop - start) and stop >= start):
                 raise argparse.ArgumentTypeError(f"bad grid {tok!r}: need start <= stop, step > 0")
-            count = int(round((stop - start) / step)) + 1
-            values.extend(start + i * step for i in range(count))
+            steps = (stop - start) / step
+            _check_room(values, steps + 1)
+            values.extend(start + i * step for i in range(int(round(steps)) + 1))
         else:
+            _check_room(values, 1)
             values.append(float(tok))
     return tuple(values)
 
@@ -95,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--n", dest="symbol_samples", type=_int_list, metavar="N[,N...]",
-            help="samples per data symbol (the guard bit's length on mae and hist)",
+            help="samples per data symbol (one value on mae and hist: the guard bit's length)",
         )
         if kind == "ber_compare":
             p.add_argument("--k", dest="data_symbols", type=int, help="data symbols per frame")

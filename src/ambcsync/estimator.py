@@ -26,22 +26,11 @@ class DegenerateSegmentError(ValueError):
 
 
 @dataclass(frozen=True)
-class LikelihoodTrace:
-    """Per-candidate transition scan: variance MLEs and profile log-likelihood."""
-
-    candidates: np.ndarray
-    sigma1_sq: np.ndarray
-    sigma2_sq: np.ndarray
-    log_likelihood: np.ndarray
-
-
-@dataclass(frozen=True)
 class StoEstimate:
-    """Estimated transition column, mapped signed offset, and the full scan."""
+    """Estimated transition column and its mapped signed offset."""
 
     n0_hat: int
     tau_hat: int
-    trace: LikelihoodTrace
 
 
 def _validate_matrix(y: np.ndarray) -> np.ndarray:
@@ -129,7 +118,4 @@ def estimate_sto(y: np.ndarray) -> StoEstimate:
     best = int(np.argmax(loglik))  # first maximum: smallest-n0 tie-break
     n0_hat = int(candidates[best])
     tau_hat = -n0_hat if n0_hat < cols / 2 else cols - n0_hat
-    trace = LikelihoodTrace(
-        candidates=candidates, sigma1_sq=s1, sigma2_sq=s2, log_likelihood=loglik
-    )
-    return StoEstimate(n0_hat=n0_hat, tau_hat=tau_hat, trace=trace)
+    return StoEstimate(n0_hat=n0_hat, tau_hat=tau_hat)

@@ -14,7 +14,7 @@ tau the head of the next one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,6 +69,24 @@ class FrameConfig:
     def total_bits(self) -> int:
         return self.preamble_bits + 2 * self.pilot_pairs + self.data_symbols + 1
 
+    def check_tau(self, tau: int) -> None:
+        """Refuse an offset that leaves the pilot windows no detectable
+        transition: N_p must exceed 2|tau|."""
+        if 2 * abs(tau) >= self.pilot_bit_samples:
+            raise ValueError(
+                f"|tau|={abs(tau)} not detectable: need pilot_bit_samples > 2|tau|, "
+                f"have {self.pilot_bit_samples}"
+            )
+
+    def check_clock(self, clock: int) -> None:
+        """Refuse a clock offset whose windows leave the frame: the preamble
+        must absorb an advance and the trailing guard bit a delay."""
+        if not -self.pilot_start <= clock <= self.data_symbol_samples:
+            raise ValueError(
+                f"clock offset {clock} exceeds available guard samples "
+                f"(need {-self.pilot_start} <= offset <= {self.data_symbol_samples})"
+            )
+
     def bit_durations(self) -> np.ndarray:
         """Per-bit sample counts, in transmission order (guard bit included)."""
         return np.concatenate(
@@ -81,41 +99,33 @@ class FrameConfig:
 
 @dataclass(frozen=True)
 class Waveform:
-    """Received baseband samples plus the receiver's current symbol clock.
+    """Received baseband samples plus the receiver's symbol clock.
 
-    ``pilot_start``/``data_start`` are the indices where the receiver
-    believes the pilot and data phases begin; shifting them models a
-    sampling clock offset without touching the samples.
+    ``clock`` is the receiver's sampling-clock offset in samples: it believes
+    the pilot and data phases begin ``clock`` samples after the config's
+    starts.  Shifting it models a clock offset without touching the samples.
     """
 
     samples: np.ndarray
     config: FrameConfig
-    pilot_start: int
-    data_start: int
+    clock: int = 0
+
+    @property
+    def pilot_start(self) -> int:
+        return self.config.pilot_start + self.clock
+
+    @property
+    def data_start(self) -> int:
+        return self.config.data_start + self.clock
 
 
-def build_bit_sequence(
-    cfg: FrameConfig,
-    payload: np.ndarray | None = None,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Assemble the transmitted bit sequence: preamble, pilot, payload, guard.
-
-    If ``payload`` is None, K equiprobable bits are drawn from ``rng``.
-    """
-    if payload is None:
-        if cfg.data_symbols > 0:
-            if rng is None:
-                raise ValueError("rng required to draw a random payload")
-            payload = rng.integers(0, 2, size=cfg.data_symbols)
-        else:
-            payload = np.zeros(0, dtype=np.int64)
-    else:
-        payload = np.asarray(payload, dtype=np.int64)
-        if payload.shape != (cfg.data_symbols,):
-            raise ValueError(
-                f"payload length {payload.size} != configured data_symbols {cfg.data_symbols}"
-            )
+def build_bit_sequence(cfg: FrameConfig, payload: np.ndarray | tuple = ()) -> np.ndarray:
+    """Assemble the transmitted bit sequence: preamble, pilot, payload, guard."""
+    payload = np.asarray(payload, dtype=np.int64)
+    if payload.shape != (cfg.data_symbols,):
+        raise ValueError(
+            f"payload length {payload.size} != configured data_symbols {cfg.data_symbols}"
+        )
     preamble = np.ones(cfg.preamble_bits, dtype=np.int64)
     pilot = np.tile(np.array([0, 1], dtype=np.int64), cfg.pilot_pairs)
     guard = np.zeros(1, dtype=np.int64)
@@ -145,27 +155,14 @@ def synthesize_received(
     s = gen_cgn_block(total, noise.sigma_s_sq, rng)
     w = gen_cgn_block(total, noise.sigma_w_sq, rng)
     samples = coeff * s + w
-    return Waveform(
-        samples=samples,
-        config=cfg,
-        pilot_start=cfg.pilot_start,
-        data_start=cfg.data_start,
-    )
+    return Waveform(samples, cfg)
 
 
 def _shift_clock(w: Waveform, delta: int) -> Waveform:
     """Shift the receiver's symbol clock by ``delta`` samples, with range checks."""
-    cfg = w.config
-    new_pilot = w.pilot_start + delta
-    new_data = w.data_start + delta
-    payload_end = new_data + cfg.data_symbols * cfg.data_symbol_samples
-    if new_pilot < 0 or payload_end > w.samples.size:
-        raise ValueError(
-            f"clock shift {delta} exceeds available guard samples "
-            f"(pilot start {new_pilot}, payload end {payload_end}, "
-            f"have {w.samples.size})"
-        )
-    return replace(w, pilot_start=new_pilot, data_start=new_data)
+    clock = w.clock + delta
+    w.config.check_clock(clock)
+    return Waveform(w.samples, w.config, clock)
 
 
 def apply_sto(w: Waveform, tau: int) -> Waveform:
@@ -177,11 +174,7 @@ def apply_sto(w: Waveform, tau: int) -> Waveform:
     samples to absorb the shift.
     """
     tau = int(tau)
-    if 2 * abs(tau) >= w.config.pilot_bit_samples:
-        raise ValueError(
-            f"|tau|={abs(tau)} not detectable: need pilot_bit_samples > 2|tau|, "
-            f"have {w.config.pilot_bit_samples}"
-        )
+    w.config.check_tau(tau)
     return _shift_clock(w, tau)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from collections.abc import Callable
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +26,7 @@ from .detector import DetectorParams
 from .detector import detect_frame as _detect_bits
 from .estimator import collect_windows, estimate_sto
 from .frame import FrameConfig, apply_sto, build_bit_sequence, synthesize_received
-from .signal_model import ChannelModel, ChannelState, NoisePowers, draw_channel, trial_rng
+from .signal_model import ChannelModel, ChannelState, draw_channel, trial_rng
 
 # every experiment frame has one wake-up bit ahead of the pilot
 PREAMBLE_BITS = 1
@@ -53,12 +53,11 @@ class ExperimentConfig:
             use a single value.
         pilot_bit_samples: window width N_p.
         symbol_samples: per-symbol sample counts N; the BER experiment
-            sweeps them, the others only need the first entry for the
-            trailing guard bit.
+            sweeps them, the others take one, the trailing guard bit's length.
         data_symbols: payload bits per frame (BER experiment).
         tau_choices: candidate timing offsets; each trial draws uniformly
             from this set (a singleton pins the offset).
-        seed: root seed for the substream derivation.
+        seed: non-negative root seed for the substream derivation.
         threads: worker count; ``AMBC_THREADS`` overrides, default is the
             available parallelism.
         channel: channel law; the default is Rayleigh block fading with one
@@ -85,31 +84,34 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not self.snr_grid_db:
-            raise ValueError("snr_grid_db must be non-empty")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        axes = (self.snr_grid_db, self.pilot_pairs, self.symbol_samples, self.tau_choices)
+        if not all(axes):
+            raise ValueError(
+                "snr_grid_db, pilot_pairs, symbol_samples and tau_choices must be non-empty"
+            )
         if not all(np.isfinite(self.snr_grid_db)):
             raise ValueError(f"snr_grid_db must be finite, got {self.snr_grid_db}")
-        if not self.pilot_pairs or any(l < 1 for l in self.pilot_pairs):
-            raise ValueError("pilot_pairs must be non-empty positive integers")
-        if self.pilot_bit_samples < 4:
-            raise ValueError("pilot_bit_samples must be >= 4")
-        if not self.symbol_samples or any(n < 1 for n in self.symbol_samples):
-            raise ValueError("symbol_samples must be non-empty positive integers")
-        if not self.tau_choices:
-            raise ValueError("tau_choices must be non-empty")
-        for tau in self.tau_choices:
-            if 2 * abs(tau) >= self.pilot_bit_samples:
-                raise ValueError(
-                    f"tau={tau} undetectable: need pilot_bit_samples > 2|tau|"
-                )
-            if tau > min(self.symbol_samples):
-                raise ValueError(
-                    f"tau={tau} exceeds the guard of {min(self.symbol_samples)} samples"
-                )
+        for name in _KINDS[self.kind][2]:
+            if len(getattr(self, name)) != 1:
+                raise ValueError(f"{self.kind} takes one {name} value, got {getattr(self, name)}")
+        if self.kind == "ber_compare" and self.data_symbols < 1:
+            raise ValueError("ber_compare needs data_symbols >= 1")
         if not isinstance(self.channel, ChannelModel):
             raise ValueError(f"channel must be a ChannelModel, got {self.channel!r}")
-        for snr in self.snr_grid_db:
-            # resolving the noise power also checks the SNR reference
+        # each cell's frame checks its geometry and every offset a trial can
+        # draw; a wrong-signed estimate moves the compensated clock up to
+        # max(tau) + ceil(N_p/2) - 1 samples late, which the BER frame's guard
+        # bit must absorb
+        worst = max(self.tau_choices) + (self.pilot_bit_samples + 1) // 2 - 1
+        for snr, _, frame in _cells(self):
+            for tau in self.tau_choices:
+                frame.check_tau(tau)
+                frame.check_clock(tau)
+            if self.kind == "ber_compare":
+                frame.check_clock(worst)
+            # resolving the noise power also checks the SNR's range and reference
             noise = self.channel.noise_for_snr(snr, self.snr_reference)
             if self.channel.kind != "static":
                 continue
@@ -121,24 +123,11 @@ class ExperimentConfig:
                     f"static channel with rho={self.channel.rho} has equal on/off "
                     f"powers at {snr} dB (p0={ch.p0}, p1={ch.p1})"
                 )
-        if self.kind == "error_hist" and (
-            len(self.snr_grid_db) != 1 or len(self.pilot_pairs) != 1
-        ):
-            raise ValueError("error_hist runs a single (snr, L) point")
-        if self.kind == "ber_compare":
-            if len(self.pilot_pairs) != 1:
-                raise ValueError("ber_compare uses a single L")
-            if self.data_symbols < 1:
-                raise ValueError("ber_compare needs data_symbols >= 1")
-            # a wrong-signed estimate shifts the compensated read window by up
-            # to max(tau) + ceil(N_p/2) - 1 past the payload; the guard bit
-            # must cover that worst case
-            worst = max(max(self.tau_choices), 0) + (self.pilot_bit_samples + 1) // 2 - 1
-            if min(self.symbol_samples) < worst:
-                raise ValueError(
-                    f"guard of {min(self.symbol_samples)} samples cannot absorb a "
-                    f"worst-case compensated shift of {worst}"
-                )
+
+
+def _csv(header: str, rows) -> str:
+    """The header, then one comma-separated line per row (floats round-trip)."""
+    return "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n"
 
 
 @dataclass(frozen=True)
@@ -148,10 +137,7 @@ class MaeResult:
     rows: tuple[tuple[float, int, float, int], ...]
 
     def to_csv(self) -> str:
-        lines = ["snr_db,L,mae,trials"]
-        for snr, pairs, mae, trials in self.rows:
-            lines.append(f"{float(snr)!r},{pairs},{mae!r},{trials}")
-        return "\n".join(lines) + "\n"
+        return _csv("snr_db,L,mae,trials", self.rows)
 
 
 @dataclass(frozen=True)
@@ -159,13 +145,9 @@ class ErrorHistResult:
     """Empirical pmf of the estimation error."""
 
     probabilities: dict[int, float]
-    trials: int
 
     def to_csv(self) -> str:
-        lines = ["epsilon,probability"]
-        for eps in sorted(self.probabilities):
-            lines.append(f"{eps},{self.probabilities[eps]!r}")
-        return "\n".join(lines) + "\n"
+        return _csv("epsilon,probability", sorted(self.probabilities.items()))
 
 
 @dataclass(frozen=True)
@@ -175,10 +157,7 @@ class BerResult:
     rows: tuple[tuple[float, int, float, float, float, int], ...]
 
     def to_csv(self) -> str:
-        lines = ["snr_db,N,ber_no_comp,ber_comp,ber_ideal,bits"]
-        for snr, n, no_comp, comp, ideal, bits in self.rows:
-            lines.append(f"{float(snr)!r},{n},{no_comp!r},{comp!r},{ideal!r},{bits}")
-        return "\n".join(lines) + "\n"
+        return _csv("snr_db,N,ber_no_comp,ber_comp,ber_ideal,bits", self.rows)
 
 
 def resolve_threads(explicit: int | None = None) -> int:
@@ -198,43 +177,43 @@ def resolve_threads(explicit: int | None = None) -> int:
     return os.cpu_count() or 1
 
 
-def _cells(config: ExperimentConfig) -> list[tuple[float, int]]:
-    if config.kind == "mae_vs_snr":
-        return [(snr, pairs) for snr in config.snr_grid_db for pairs in config.pilot_pairs]
+def _cells(config: ExperimentConfig) -> list[tuple[float, int, FrameConfig]]:
+    """(SNR, swept value, frame) for each grid cell, in row order: the BER
+    experiment sweeps N at its one L, the others sweep L with no payload."""
+    def frame(pairs: int, k: int, n: int) -> FrameConfig:
+        return FrameConfig(PREAMBLE_BITS, pairs, config.pilot_bit_samples, k, n)
+
+    snrs = [float(snr) for snr in config.snr_grid_db]
     if config.kind == "ber_compare":
-        return [(snr, n) for snr in config.snr_grid_db for n in config.symbol_samples]
-    return [(config.snr_grid_db[0], config.pilot_pairs[0])]
+        pairs, k = config.pilot_pairs[0], config.data_symbols
+        return [(snr, n, frame(pairs, k, n)) for snr in snrs for n in config.symbol_samples]
+    n = config.symbol_samples[0]
+    return [(snr, pairs, frame(pairs, 0, n)) for snr in snrs for pairs in config.pilot_pairs]
 
 
-def _frame_config(config: ExperimentConfig, cell: tuple[float, int]) -> FrameConfig:
-    if config.kind == "ber_compare":
-        return FrameConfig(
-            preamble_bits=PREAMBLE_BITS,
-            pilot_pairs=config.pilot_pairs[0],
-            pilot_bit_samples=config.pilot_bit_samples,
-            data_symbols=config.data_symbols,
-            data_symbol_samples=cell[1],
-        )
-    return FrameConfig(
-        preamble_bits=PREAMBLE_BITS,
-        pilot_pairs=cell[1],
-        pilot_bit_samples=config.pilot_bit_samples,
-        data_symbols=0,
-        data_symbol_samples=config.symbol_samples[0],
-    )
+def _cell_trials(config: ExperimentConfig, cell_index: int, start: int, stop: int):
+    """The setup both chunk kinds share for trials [start, stop) of one cell.
 
-
-def _cell_channel(
-    config: ExperimentConfig, snr_db: float
-) -> tuple[NoisePowers, Callable[[np.random.Generator], ChannelState]]:
-    """Resolve the channel law once per chunk: the cell's noise powers and a
-    per-trial channel source (a fresh draw under fading, the fixed state of a
-    static channel)."""
-    noise = config.channel.noise_for_snr(snr_db, config.snr_reference)
+    Returns the cell's frame, its noise powers, a per-trial channel source (a
+    fresh draw under fading, the fixed state of a static channel) and an
+    iterator over the trials that yields each one's substream and its offset
+    drawn from ``tau_choices``.
+    """
+    snr, _, frame = _cells(config)[cell_index]
+    noise = config.channel.noise_for_snr(snr, config.snr_reference)
     if config.channel.kind == "static":
         state = config.channel.static_state(noise)
-        return noise, lambda rng: state
-    return noise, lambda rng: draw_channel(rng, noise)
+        channel = lambda rng: state
+    else:
+        channel = lambda rng: draw_channel(rng, noise)
+    taus = np.asarray(config.tau_choices, dtype=np.int64)
+
+    def trials() -> Iterator[tuple[np.random.Generator, int]]:
+        for trial in range(start, stop):
+            rng = trial_rng(config.seed, cell_index, trial)
+            yield rng, int(taus[rng.integers(taus.size)])
+
+    return frame, noise, channel, trials()
 
 
 def _error_counts(
@@ -244,19 +223,12 @@ def _error_counts(
 
     Entry i counts the error i - N_p (|error| can never exceed N_p).
     """
-    cell = _cells(config)[cell_index]
-    noise, channel = _cell_channel(config, cell[0])
-    fcfg = _frame_config(config, cell)
-    bits = build_bit_sequence(fcfg)
-    taus = np.asarray(config.tau_choices, dtype=np.int64)
+    frame, noise, channel, trials = _cell_trials(config, cell_index, start, stop)
+    bits = build_bit_sequence(frame)
     errors = np.empty(stop - start, dtype=np.int64)
-    for i, trial in enumerate(range(start, stop)):
-        rng = trial_rng(config.seed, cell_index, trial)
-        tau = int(taus[rng.integers(taus.size)])
-        ch = channel(rng)
-        w = synthesize_received(bits, fcfg, ch, noise, rng)
-        est = estimate_sto(collect_windows(apply_sto(w, tau)))
-        errors[i] = tau - est.tau_hat
+    for i, (rng, tau) in enumerate(trials):
+        w = synthesize_received(bits, frame, channel(rng), noise, rng)
+        errors[i] = tau - estimate_sto(collect_windows(apply_sto(w, tau))).tau_hat
     span = config.pilot_bit_samples
     return np.bincount(errors + span, minlength=2 * span + 1)
 
@@ -265,24 +237,19 @@ def _ber_chunk(
     config: ExperimentConfig, cell_index: int, start: int, stop: int
 ) -> tuple[int, int, int, int, int]:
     """Paired-trial error counts: (ideal, no_comp, comp, bits, redraws)."""
-    cell = _cells(config)[cell_index]
-    noise, channel = _cell_channel(config, cell[0])
-    fcfg = _frame_config(config, cell)
-    taus = np.asarray(config.tau_choices, dtype=np.int64)
-    k = fcfg.data_symbols
+    frame, noise, channel, trials = _cell_trials(config, cell_index, start, stop)
+    k = frame.data_symbols
     e_ideal = e_nocomp = e_comp = redraws = 0
-    for trial in range(start, stop):
-        rng = trial_rng(config.seed, cell_index, trial)
-        tau = int(taus[rng.integers(taus.size)])
+    for rng, tau in trials:
         while True:
             ch = channel(rng)
             if not _degenerate(ch):
                 break
             redraws += 1
         payload = rng.integers(0, 2, size=k)
-        bits = build_bit_sequence(fcfg, payload)
-        w = synthesize_received(bits, fcfg, ch, noise, rng)
-        params = DetectorParams.from_powers(fcfg.data_symbol_samples, ch.p0, ch.p1)
+        bits = build_bit_sequence(frame, payload)
+        w = synthesize_received(bits, frame, ch, noise, rng)
+        params = DetectorParams.from_powers(frame.data_symbol_samples, ch.p0, ch.p1)
 
         ideal_bits, _ = _detect_bits(w, params, 0)
         w_sto = apply_sto(w, tau)
@@ -335,9 +302,9 @@ def _mae(config: ExperimentConfig, grouped: list[list]) -> MaeResult:
     span = config.pilot_bit_samples
     abs_errors = np.abs(np.arange(-span, span + 1))
     rows = []
-    for cell, chunks in zip(_cells(config), grouped):
+    for (snr, pairs, _), chunks in zip(_cells(config), grouped):
         abs_sum = int(abs_errors @ np.sum(chunks, axis=0))
-        rows.append((cell[0], cell[1], abs_sum / config.trials, config.trials))
+        rows.append((snr, pairs, abs_sum / config.trials, config.trials))
     return MaeResult(rows=tuple(rows))
 
 
@@ -350,28 +317,27 @@ def _error_hist(config: ExperimentConfig, grouped: list[list]) -> ErrorHistResul
         for eps, c in enumerate(counts)
         if c > 0
     }
-    return ErrorHistResult(probabilities=probs, trials=config.trials)
+    return ErrorHistResult(probabilities=probs)
 
 
 def _ber(config: ExperimentConfig, grouped: list[list]) -> BerResult:
     """Paired BER under no compensation, estimated compensation, and ideal sync."""
     rows = []
-    for cell, chunks in zip(_cells(config), grouped):
+    for (snr, n, _), chunks in zip(_cells(config), grouped):
         e_ideal = sum(c[0] for c in chunks)
         e_nocomp = sum(c[1] for c in chunks)
         e_comp = sum(c[2] for c in chunks)
         bits = sum(c[3] for c in chunks)
-        rows.append(
-            (cell[0], cell[1], e_nocomp / bits, e_comp / bits, e_ideal / bits, bits)
-        )
+        rows.append((snr, n, e_nocomp / bits, e_comp / bits, e_ideal / bits, bits))
     return BerResult(rows=tuple(rows))
 
 
-# kind -> (chunk function each task runs, aggregator of the grouped chunk outputs)
+# kind -> (chunk function each task runs, aggregator of the grouped chunk
+# outputs, the config fields the kind does not sweep and so takes one value of)
 _KINDS = {
-    "mae_vs_snr": (_error_counts, _mae),
-    "error_hist": (_error_counts, _error_hist),
-    "ber_compare": (_ber_chunk, _ber),
+    "mae_vs_snr": (_error_counts, _mae, ("symbol_samples",)),
+    "error_hist": (_error_counts, _error_hist, ("snr_grid_db", "pilot_pairs", "symbol_samples")),
+    "ber_compare": (_ber_chunk, _ber, ("pilot_pairs",)),
 }
 
 

@@ -23,19 +23,27 @@ class NoisePowers:
     sigma_w_sq: float = 1.0
 
     def __post_init__(self):
-        if self.sigma_s_sq < 0:
-            raise ValueError(f"source power must be >= 0, got {self.sigma_s_sq}")
-        if self.sigma_w_sq < 0:
-            raise ValueError(f"noise power must be >= 0, got {self.sigma_w_sq}")
+        if not (np.isfinite(self.sigma_s_sq) and self.sigma_s_sq >= 0):
+            raise ValueError(f"source power must be finite and >= 0, got {self.sigma_s_sq}")
+        if not (np.isfinite(self.sigma_w_sq) and self.sigma_w_sq >= 0):
+            raise ValueError(f"noise power must be finite and >= 0, got {self.sigma_w_sq}")
 
     @classmethod
     def from_snr_db(cls, snr_db: float, sigma_s_sq: float = 1.0) -> "NoisePowers":
         """Hold the source power fixed and set the noise floor from an SNR in dB."""
-        return cls(sigma_s_sq=sigma_s_sq, sigma_w_sq=sigma_s_sq * 10.0 ** (-snr_db / 10.0))
+        return cls(sigma_s_sq=sigma_s_sq, sigma_w_sq=_noise_power(snr_db, sigma_s_sq))
 
-    @property
-    def snr_db(self) -> float:
-        return 10.0 * np.log10(self.sigma_s_sq / self.sigma_w_sq)
+
+def _noise_power(snr_db: float, signal_power: float) -> float:
+    """The noise power ``snr_db`` dB below ``signal_power``; a ValueError names
+    an SNR whose noise power is not a finite float."""
+    try:
+        power = signal_power * 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        power = np.inf
+    if not np.isfinite(power):
+        raise ValueError(f"SNR {snr_db} dB gives a noise power that is not finite")
+    return power
 
 
 @dataclass(frozen=True)
@@ -124,7 +132,7 @@ class ChannelModel:
         if reference == "source":
             return NoisePowers.from_snr_db(snr_db)
         if reference == "mean_received":
-            return NoisePowers(1.0, (1.0 + self.rho / 2.0) * 10.0 ** (-snr_db / 10.0))
+            return NoisePowers(1.0, _noise_power(snr_db, 1.0 + self.rho / 2.0))
         raise ValueError(
             f"unknown SNR reference {reference!r}, expected one of {SNR_REFERENCES}"
         )

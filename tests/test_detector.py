@@ -120,7 +120,7 @@ def frame_with_windows(windows):
     cfg = FrameConfig(1, 1, 4, k, n)
     samples = np.zeros(cfg.total_samples, dtype=complex)
     samples[cfg.data_start : cfg.data_start + k * n] = windows.ravel()
-    return Waveform(samples, cfg, cfg.pilot_start, cfg.data_start)
+    return Waveform(samples, cfg)
 
 
 def unit_window(energy, n=16):

@@ -166,21 +166,6 @@ def test_estimate_noiseless_splits():
 def test_estimate_flat_matrix_tie_break():
     est = estimate_sto(np.ones((3, 8), dtype=complex))
     assert (est.n0_hat, est.tau_hat) == (2, -2)
-    assert np.all(est.trace.log_likelihood == 0.0)
-
-
-def test_trace_matches_scalar_operations():
-    rng = np.random.default_rng(15)
-    y = (rng.standard_normal((4, 11)) + 1j * rng.standard_normal((4, 11))) / np.sqrt(2)
-    est = estimate_sto(y)
-    assert est.trace.candidates.tolist() == list(range(2, 11))
-    for i, n0 in enumerate(est.trace.candidates):
-        s1, s2 = variance_estimates(y, int(n0))
-        assert est.trace.sigma1_sq[i] == pytest.approx(s1, rel=1e-12)
-        assert est.trace.sigma2_sq[i] == pytest.approx(s2, rel=1e-12)
-        assert est.trace.log_likelihood[i] == pytest.approx(
-            log_likelihood_reduced(y, int(n0)), rel=1e-12
-        )
 
 
 def full_log_likelihood(y, n0):

@@ -1,5 +1,6 @@
 """Experiment runners, CSV output, determinism, and the CLI."""
 
+import argparse
 import math
 import os
 import subprocess
@@ -50,6 +51,10 @@ def test_config_validation():
         mae_config(tau_choices=(-8,))  # 2|tau| == N_p
     with pytest.raises(ValueError):
         mae_config(tau_choices=(5,), symbol_samples=(4,))  # guard too short
+    with pytest.raises(ValueError, match="one symbol_samples"):
+        mae_config(tau_choices=(5,), symbol_samples=(50, 4))  # only a BER run sweeps N
+    with pytest.raises(ValueError, match="seed"):
+        mae_config(seed=-1)
     with pytest.raises(ValueError):
         ExperimentConfig(
             kind="error_hist", snr_grid_db=(5.0, 10.0), trials=10, pilot_pairs=(8,),
@@ -65,6 +70,15 @@ def test_config_validation():
             kind="ber_compare", snr_grid_db=(5.0,), trials=10, pilot_pairs=(8,),
             pilot_bit_samples=16, tau_choices=(-5,), data_symbols=0,
         )
+    # a BER frame's guard bit absorbs the latest compensated clock,
+    # max(tau) + ceil(N_p/2) - 1 = -5 + 8 - 1 = 2 samples, and no less
+    ber = dict(
+        kind="ber_compare", snr_grid_db=(0.0,), trials=10, pilot_pairs=(2,),
+        pilot_bit_samples=16, data_symbols=5, tau_choices=(-5,),
+    )
+    ExperimentConfig(**ber, symbol_samples=(2,))
+    with pytest.raises(ValueError, match="clock offset 2"):
+        ExperimentConfig(**ber, symbol_samples=(1,))
 
 
 def test_degenerate_static_channel_rejected():
@@ -404,6 +418,8 @@ def test_cli_bad_flag_exits_2(capsys):
         (["--tau", "20"], "tau"), (["--np", "3"], "pilot_bit_samples"),
         (["--trials", "0"], "trials"), (["--snr", "nan"], "finite"),
         (["--threads", "-3"], "threads"), (["--threads", "0"], "threads"),
+        (["--snr", "-4000"], "-4000"), (["--seed", "-1"], "seed"),
+        (["--n", "50,100"], "symbol_samples"),
     ],
 )
 def test_cli_bad_value_exits_2_before_any_trial(tmp_path, capsys, run_spy, flags, word):
@@ -411,6 +427,28 @@ def test_cli_bad_value_exits_2_before_any_trial(tmp_path, capsys, run_spy, flags
     assert cli_main(["mae", "--snr", "5", *flags, "--out", str(out)]) == 2
     assert word in capsys.readouterr().err
     assert run_spy == [] and not out.exists()
+
+
+def test_cli_list_flags_refuse_oversized_lists_before_expanding():
+    assert len(cli._int_list("1..10000")) == len(cli._float_list("1:10000:1")) == cli.MAX_VALUES
+    for parse, text in ((cli._int_list, "1..10000,0"), (cli._float_list, "0:10000:1")):
+        with pytest.raises(argparse.ArgumentTypeError, match="more than 10000"):
+            parse(text)
+    # 10^18 grid points and 4*10^9 offsets must be counted, never built: the
+    # CLI runs in a child whose address space is capped at 1 GiB, so a parser
+    # that did expand them fails there with a MemoryError
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    main = "import sys; from ambcsync.cli import cli_main; sys.exit(cli_main(sys.argv[1:]))"
+    for argv in (["mae", "--snr", "0:1e9:1e-9"], ["hist", "--tau", "-2000000000..2000000000"]):
+        proc = subprocess.run(
+            [sys.executable, "-c", main, *argv], capture_output=True, text=True, preexec_fn=cap
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "more than 10000 values" in proc.stderr
 
 
 @pytest.mark.parametrize("name", ["missing/x.csv", ".", ""])

@@ -1,5 +1,7 @@
 """Channel, source, and noise generation."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -19,7 +21,6 @@ def test_noise_powers_from_snr_db():
     np10 = NoisePowers.from_snr_db(10.0)
     assert np10.sigma_s_sq == 1.0
     assert np10.sigma_w_sq == pytest.approx(0.1)
-    assert np10.snr_db == pytest.approx(10.0)
 
 
 def test_noise_powers_validation():
@@ -27,6 +28,11 @@ def test_noise_powers_validation():
         NoisePowers(-1.0, 1.0)
     with pytest.raises(ValueError):
         NoisePowers(1.0, -0.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            NoisePowers(1.0, bad)
+        with pytest.raises(ValueError, match="finite"):
+            NoisePowers(bad, 1.0)
     # a zero noise floor is allowed for noise-free constructions
     NoisePowers(1.0, 0.0)
 
@@ -189,6 +195,10 @@ def test_channel_model_validation():
         ChannelModel().static_state(NoisePowers())
     with pytest.raises(ValueError, match="SNR reference"):
         ChannelModel().noise_for_snr(10.0, "backscatter")
+    # 10^400 overflows a float: the error names the SNR, it is no OverflowError
+    for reference in ("source", "mean_received"):
+        with pytest.raises(ValueError, match="SNR -4000 dB"):
+            ChannelModel("static", rho=0.5).noise_for_snr(-4000, reference)
     # rho = 0 is a valid channel on its own; experiments reject it
     zero = ChannelModel("static", rho=0.0).static_state(NoisePowers())
     assert zero.p0 == zero.p1 == 2.0
