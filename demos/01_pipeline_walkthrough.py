@@ -47,7 +47,7 @@ print(f"  on/off received powers: p1={channel.p1:.3f}, p0={channel.p0:.3f}")
 
 payload = rng.integers(0, 2, size=cfg.data_symbols)
 bits = build_bit_sequence(cfg, payload=payload)
-ideal = synthesize_received(bits, cfg, channel, noise, rng)
+ideal = synthesize_received(bits, cfg, channel, rng)
 received = apply_sto(ideal, TAU_TRUE)
 print(f"\ninjected sampling-clock offset: {TAU_TRUE} samples")
 

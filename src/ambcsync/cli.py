@@ -1,8 +1,8 @@
 """Command-line front end: mae | hist | ber.
 
 Each subcommand runs a seeded Monte Carlo sweep and writes a CSV.  Exit
-codes: 0 success, 1 runtime failure, 2 bad flags or flag values, a missing
-output directory or a bad AMBC_THREADS.
+codes: 0 success, 1 runtime failure, 2 bad flags or flag values or a
+missing output directory.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import os
 import re
 import sys
 import time
+from decimal import Decimal
 
 from .harness import ExperimentConfig, resolve_threads, run_experiment, write_csv
 
@@ -64,11 +65,13 @@ def _float_list(text: str) -> tuple[float, ...]:
             if len(parts) != 3:
                 raise argparse.ArgumentTypeError(f"expected start:stop:step, got {tok!r}")
             start, stop, step = (float(p) for p in parts)
-            if not (step > 0 and math.isfinite(stop - start) and stop >= start):
+            if not (0 < step < math.inf and math.isfinite(stop - start) and stop >= start):
                 raise argparse.ArgumentTypeError(f"bad grid {tok!r}: need start <= stop, step > 0")
             steps = (stop - start) / step
             _check_room(values, steps + 1)
-            values.extend(start + i * step for i in range(int(round(steps)) + 1))
+            # points in decimal arithmetic: 0:1:0.1 yields 0.3, not 0.30000000000000004
+            first, delta = Decimal(repr(start)), Decimal(repr(step))
+            values.extend(float(first + i * delta) for i in range(int(round(steps)) + 1))
         else:
             _check_room(values, 1)
             values.append(float(tok))
@@ -119,10 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--seed", type=int, help="root seed")
         p.add_argument("--out", help="output CSV path")
-        p.add_argument(
-            "--threads", type=int,
-            help="worker processes (AMBC_THREADS overrides; default: all cores)",
-        )
+        p.add_argument("--threads", type=int, help="worker processes (default: all cores)")
     return parser
 
 
@@ -134,8 +134,8 @@ def cli_main(argv=None) -> int:
         return int(exc.code or 0)
     command, out = args.pop("command"), args.pop("out")
     try:
-        # flag values, AMBC_THREADS and the output directory are input: all
-        # are checked before any trial runs, and a bad one exits 2
+        # flag values and the output directory are input: all are checked
+        # before any trial runs, and a bad one exits 2
         config = ExperimentConfig(**args)
         resolve_threads(config.threads)
         folder, name = os.path.split(out)

@@ -23,18 +23,16 @@ class DegenerateChannelError(ValueError):
 
 @dataclass(frozen=True)
 class DetectorParams:
-    """Per-coherence-block detection parameters."""
+    """Per-coherence-block detection parameters; the window size N they were
+    built for is the frame's ``data_symbol_samples``."""
 
-    n_samples: int
     p0: float
     p1: float
     threshold: float
 
     @classmethod
     def from_powers(cls, n_samples: int, p0: float, p1: float) -> "DetectorParams":
-        return cls(
-            n_samples=n_samples, p0=p0, p1=p1, threshold=ed_threshold(n_samples, p0, p1)
-        )
+        return cls(p0=p0, p1=p1, threshold=ed_threshold(n_samples, p0, p1))
 
 
 def ed_threshold(n_samples: int, p0: float, p1: float) -> float:

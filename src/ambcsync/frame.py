@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal_model import ChannelState, NoisePowers, gen_cgn_block
+from .signal_model import ChannelState, gen_cgn_block
 
 
 @dataclass(frozen=True)
@@ -133,28 +133,18 @@ def build_bit_sequence(cfg: FrameConfig, payload: np.ndarray | tuple = ()) -> np
 
 
 def synthesize_received(
-    bits: np.ndarray,
-    cfg: FrameConfig,
-    ch: ChannelState,
-    noise: NoisePowers,
-    rng: np.random.Generator,
+    bits: np.ndarray, cfg: FrameConfig, ch: ChannelState, rng: np.random.Generator
 ) -> Waveform:
     """Synthesize the receiver's baseband stream for one frame.
 
-    Every sample inside bit k is h*s + zeta*g*B(k)*s + w with fresh source
-    and noise samples, i.e. a complex Gaussian of power p0 or p1 depending
-    on the bit.
+    Every sample inside bit k is an independent complex Gaussian of power
+    p0 or p1 depending on the bit (``ChannelState.from_coefficients``).
     """
     bits = np.asarray(bits, dtype=np.int64)
     if bits.shape != (cfg.total_bits,):
         raise ValueError(f"expected {cfg.total_bits} bits, got {bits.size}")
-    durations = cfg.bit_durations()
-    total = int(durations.sum())
-    coeff_per_bit = ch.h + ch.zeta * ch.g * bits
-    coeff = np.repeat(coeff_per_bit, durations)
-    s = gen_cgn_block(total, noise.sigma_s_sq, rng)
-    w = gen_cgn_block(total, noise.sigma_w_sq, rng)
-    samples = coeff * s + w
+    amplitude = np.repeat(np.sqrt(np.where(bits == 1, ch.p1, ch.p0)), cfg.bit_durations())
+    samples = gen_cgn_block(amplitude.size, rng) * amplitude
     return Waveform(samples, cfg)
 
 

@@ -58,8 +58,7 @@ class ExperimentConfig:
         tau_choices: candidate timing offsets; each trial draws uniformly
             from this set (a singleton pins the offset).
         seed: non-negative root seed for the substream derivation.
-        threads: worker count; ``AMBC_THREADS`` overrides, default is the
-            available parallelism.
+        threads: worker count; default is the available parallelism.
         channel: channel law; the default is Rayleigh block fading with one
             draw per frame.
         snr_reference: signal power the SNR refers to, ``source`` (the
@@ -161,20 +160,15 @@ class BerResult:
 
 
 def resolve_threads(explicit: int | None = None) -> int:
-    """Worker count: AMBC_THREADS env var, else the explicit value, else all cores.
+    """Worker count: the explicit value, else all cores.
 
-    Raises ValueError if either is set to anything but a positive integer.
+    Raises ValueError if the explicit value is not a positive integer.
     """
-    if explicit is not None and explicit < 1:
+    if explicit is None:
+        return os.cpu_count() or 1
+    if explicit < 1:
         raise ValueError(f"threads must be a positive integer, got {explicit}")
-    env = os.environ.get("AMBC_THREADS")
-    if env:
-        if not (env.strip().isdecimal() and int(env) >= 1):
-            raise ValueError(f"AMBC_THREADS must be a positive integer, got {env!r}")
-        return int(env)
-    if explicit is not None:
-        return int(explicit)
-    return os.cpu_count() or 1
+    return int(explicit)
 
 
 def _cells(config: ExperimentConfig) -> list[tuple[float, int, FrameConfig]]:
@@ -194,10 +188,10 @@ def _cells(config: ExperimentConfig) -> list[tuple[float, int, FrameConfig]]:
 def _cell_trials(config: ExperimentConfig, cell_index: int, start: int, stop: int):
     """The setup both chunk kinds share for trials [start, stop) of one cell.
 
-    Returns the cell's frame, its noise powers, a per-trial channel source (a
-    fresh draw under fading, the fixed state of a static channel) and an
-    iterator over the trials that yields each one's substream and its offset
-    drawn from ``tau_choices``.
+    Returns the cell's frame, a per-trial channel source (a fresh draw under
+    fading, the fixed state of a static channel) and an iterator over the
+    trials that yields each one's substream and its offset drawn from
+    ``tau_choices``.
     """
     snr, _, frame = _cells(config)[cell_index]
     noise = config.channel.noise_for_snr(snr, config.snr_reference)
@@ -213,7 +207,7 @@ def _cell_trials(config: ExperimentConfig, cell_index: int, start: int, stop: in
             rng = trial_rng(config.seed, cell_index, trial)
             yield rng, int(taus[rng.integers(taus.size)])
 
-    return frame, noise, channel, trials()
+    return frame, channel, trials()
 
 
 def _error_counts(
@@ -223,11 +217,11 @@ def _error_counts(
 
     Entry i counts the error i - N_p (|error| can never exceed N_p).
     """
-    frame, noise, channel, trials = _cell_trials(config, cell_index, start, stop)
+    frame, channel, trials = _cell_trials(config, cell_index, start, stop)
     bits = build_bit_sequence(frame)
     errors = np.empty(stop - start, dtype=np.int64)
     for i, (rng, tau) in enumerate(trials):
-        w = synthesize_received(bits, frame, channel(rng), noise, rng)
+        w = synthesize_received(bits, frame, channel(rng), rng)
         errors[i] = tau - estimate_sto(collect_windows(apply_sto(w, tau))).tau_hat
     span = config.pilot_bit_samples
     return np.bincount(errors + span, minlength=2 * span + 1)
@@ -237,7 +231,7 @@ def _ber_chunk(
     config: ExperimentConfig, cell_index: int, start: int, stop: int
 ) -> tuple[int, int, int, int, int]:
     """Paired-trial error counts: (ideal, no_comp, comp, bits, redraws)."""
-    frame, noise, channel, trials = _cell_trials(config, cell_index, start, stop)
+    frame, channel, trials = _cell_trials(config, cell_index, start, stop)
     k = frame.data_symbols
     e_ideal = e_nocomp = e_comp = redraws = 0
     for rng, tau in trials:
@@ -248,7 +242,7 @@ def _ber_chunk(
             redraws += 1
         payload = rng.integers(0, 2, size=k)
         bits = build_bit_sequence(frame, payload)
-        w = synthesize_received(bits, frame, ch, noise, rng)
+        w = synthesize_received(bits, frame, ch, rng)
         params = DetectorParams.from_powers(frame.data_symbol_samples, ch.p0, ch.p1)
 
         ideal_bits, _ = _detect_bits(w, params, 0)

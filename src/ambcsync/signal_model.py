@@ -4,7 +4,9 @@ The ambient RF source and thermal noise are i.i.d. circularly-symmetric
 complex Gaussian processes.  A frame's channel is described by three
 coefficients (direct link h, source-to-device zeta, device-to-receiver g);
 the backscatter "on" state sees the composite coefficient mu = h + zeta*g.
-A ``ChannelModel`` says how those coefficients arise (Rayleigh block fading
+Every received sample of a bit B is then a complex Gaussian of power p0
+(B = 0) or p1 (B = 1), and ``ChannelState`` keeps only those two powers.
+A ``ChannelModel`` says how the coefficients arise (Rayleigh block fading
 or one static channel) and how an SNR in dB maps to the noise power.
 """
 
@@ -48,17 +50,9 @@ def _noise_power(snr_db: float, signal_power: float) -> float:
 
 @dataclass(frozen=True)
 class ChannelState:
-    """One coherence block's fading coefficients and derived symbol powers.
+    """One coherence block's received per-sample powers under the "absorb"
+    (``p0``) and "reflect" (``p1``) hypotheses."""
 
-    ``mu = h + zeta * g`` is the composite coefficient seen while the
-    backscatter device reflects; ``p0``/``p1`` are the received per-sample
-    powers under the "absorb" and "reflect" hypotheses.
-    """
-
-    h: complex
-    zeta: complex
-    g: complex
-    mu: complex
     p0: float
     p1: float
 
@@ -66,10 +60,12 @@ class ChannelState:
     def from_coefficients(
         cls, h: complex, zeta: complex, g: complex, noise: NoisePowers
     ) -> "ChannelState":
-        mu = h + zeta * g
+        """The received law: a sample of bit B is h*s + zeta*g*B*s + w with
+        source s ~ CN(0, sigma_s^2) and noise w ~ CN(0, sigma_w^2), i.e. a
+        CN(0, p_B) draw with p_B = |h + zeta*g*B|^2 sigma_s^2 + sigma_w^2."""
         p0 = abs(h) ** 2 * noise.sigma_s_sq + noise.sigma_w_sq
-        p1 = abs(mu) ** 2 * noise.sigma_s_sq + noise.sigma_w_sq
-        return cls(h=h, zeta=zeta, g=g, mu=mu, p0=p0, p1=p1)
+        p1 = abs(h + zeta * g) ** 2 * noise.sigma_s_sq + noise.sigma_w_sq
+        return cls(p0=p0, p1=p1)
 
 
 def draw_channel(rng: np.random.Generator, noise: NoisePowers) -> ChannelState:
@@ -77,7 +73,7 @@ def draw_channel(rng: np.random.Generator, noise: NoisePowers) -> ChannelState:
 
     Args:
         rng: seeded generator; six normal deviates are consumed.
-        noise: powers used to populate the derived p0/p1 fields.
+        noise: source and noise powers that set p0/p1.
     """
     z = rng.standard_normal(6) * np.sqrt(0.5)
     h = complex(z[0], z[1])
@@ -145,22 +141,19 @@ class ChannelModel:
         return ChannelState.from_coefficients(1.0 + 0j, zeta, 1j, noise)
 
 
-def gen_cgn_block(count: int, variance: float, rng: np.random.Generator) -> np.ndarray:
-    """Generate ``count`` i.i.d. circularly-symmetric complex Gaussian samples.
-
-    Per-sample E|x|^2 equals ``variance``; real and imaginary parts are
-    independent with variance/2 each.
+def gen_cgn_block(count: int, rng: np.random.Generator) -> np.ndarray:
+    """Generate ``count`` i.i.d. unit-power circularly-symmetric complex
+    Gaussian samples: E|x|^2 = 1, independent real and imaginary parts of
+    variance 1/2 each.
 
     Returns:
         complex128 array of shape (count,).
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    if variance < 0:
-        raise ValueError(f"variance must be >= 0, got {variance}")
     # one draw of interleaved (re, im) pairs, reinterpreted as complex
     z = rng.standard_normal(2 * count).view(np.complex128)
-    z *= np.sqrt(variance / 2.0)
+    z *= np.sqrt(0.5)
     return z
 
 

@@ -128,7 +128,7 @@ def unit_window(energy, n=16):
     return np.r_[np.ones(energy), np.zeros(n - energy)]
 
 
-ANY_PARAMS = DetectorParams(n_samples=16, p0=1.0, p1=2.0, threshold=15.0)
+ANY_PARAMS = DetectorParams(p0=1.0, p1=2.0, threshold=15.0)
 
 
 def test_energy_statistic_basic():
@@ -152,16 +152,16 @@ def test_energy_statistic_matches_naive_sum():
 
 def test_decide_orientations():
     w = frame_with_windows([unit_window(16), unit_window(14)])
-    up = DetectorParams(n_samples=16, p0=1.0, p1=2.0, threshold=15.0)
+    up = DetectorParams(p0=1.0, p1=2.0, threshold=15.0)
     assert detect_frame(w, up, 0)[0].tolist() == [1, 0]
-    down = DetectorParams(n_samples=16, p0=2.0, p1=1.0, threshold=15.0)
+    down = DetectorParams(p0=2.0, p1=1.0, threshold=15.0)
     assert detect_frame(w, down, 0)[0].tolist() == [0, 1]
 
 
 def test_decide_boundary_goes_to_geq_branch():
     w = frame_with_windows([unit_window(15)])
-    up = DetectorParams(n_samples=16, p0=1.0, p1=2.0, threshold=15.0)
-    down = DetectorParams(n_samples=16, p0=2.0, p1=1.0, threshold=15.0)
+    up = DetectorParams(p0=1.0, p1=2.0, threshold=15.0)
+    down = DetectorParams(p0=2.0, p1=1.0, threshold=15.0)
     assert detect_frame(w, up, 0)[0].tolist() == [1]
     assert detect_frame(w, down, 0)[0].tolist() == [0]
 
@@ -176,8 +176,8 @@ def test_decide_swap_relabel_symmetry():
     # put the threshold exactly on the third window's energy
     _, energies = detect_frame(w, ANY_PARAMS, 0)
     assert energies[2] == pytest.approx(t, rel=1e-14)
-    a = DetectorParams(50, 1.0, 3.0, energies[2])
-    b = DetectorParams(50, 3.0, 1.0, energies[2])
+    a = DetectorParams(1.0, 3.0, energies[2])
+    b = DetectorParams(3.0, 1.0, energies[2])
     bits_a, _ = detect_frame(w, a, 0)
     bits_b, _ = detect_frame(w, b, 0)
     assert bits_a.tolist() == [0, 0, 1, 1]
@@ -201,7 +201,7 @@ def make_frame(k=8, n=20, tau_payload=None, seed=2, snr_db=20.0, h=1.0, zeta=1.0
     rng = np.random.default_rng(seed)
     payload = tau_payload if tau_payload is not None else rng.integers(0, 2, size=k)
     bits = build_bit_sequence(cfg, payload=np.asarray(payload))
-    w = synthesize_received(bits, cfg, ch, noise, rng)
+    w = synthesize_received(bits, cfg, ch, rng)
     return w, cfg, ch, np.asarray(payload)
 
 

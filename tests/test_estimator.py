@@ -29,7 +29,7 @@ def pilot_waveform(pairs=4, np_samples=12, seed=3, snr_db=None, h=1.0, zeta=1.0,
     cfg = FrameConfig(1, pairs, np_samples, 0, np_samples)
     noise = NoisePowers(1.0, 0.0 if snr_db is None else 10 ** (-snr_db / 10))
     ch = ChannelState.from_coefficients(h, zeta, g, noise)
-    w = synthesize_received(build_bit_sequence(cfg), cfg, ch, noise, np.random.default_rng(seed))
+    w = synthesize_received(build_bit_sequence(cfg), cfg, ch, np.random.default_rng(seed))
     return w, cfg, ch
 
 
@@ -47,10 +47,10 @@ def test_collect_windows_shape_and_content():
     y = collect_windows(w)
     assert y.shape == (3, 10)
     # aligned clock, zero noise: every window is the reflecting bit exactly
-    s = gen_cgn_block(cfg.total_samples, 1.0, np.random.default_rng(9))
+    s = gen_cgn_block(cfg.total_samples, np.random.default_rng(9))
     for row in range(3):
         start = cfg.pilot_start + (2 * row + 1) * 10
-        assert np.array_equal(y[row], ch.mu * s[start : start + 10])
+        assert np.array_equal(y[row], np.sqrt(ch.p1) * s[start : start + 10])
 
 
 def test_collect_windows_single_pair():
@@ -60,13 +60,13 @@ def test_collect_windows_single_pair():
 
 def test_collect_windows_offset_rows_have_foreign_head():
     w, cfg, ch = pilot_waveform(pairs=4, np_samples=12, seed=10)
-    s = gen_cgn_block(cfg.total_samples, 1.0, np.random.default_rng(10))
+    s = gen_cgn_block(cfg.total_samples, np.random.default_rng(10))
     y = collect_windows(apply_sto(w, -4))
     for row in range(4):
         true_start = cfg.pilot_start + (2 * row + 1) * 12 - 4
         seg = s[true_start : true_start + 12]
-        assert np.array_equal(y[row, :4], ch.h * seg[:4])
-        assert np.array_equal(y[row, 4:], ch.mu * seg[4:])
+        assert np.array_equal(y[row, :4], np.sqrt(ch.p0) * seg[:4])
+        assert np.array_equal(y[row, 4:], np.sqrt(ch.p1) * seg[4:])
 
 
 def test_collect_windows_out_of_range():
@@ -251,7 +251,7 @@ def test_recovery_rate_nondecreasing_in_pilot_length():
         for t in range(trials):
             rng = trial_rng(424, li, t)
             ch = draw_channel(rng, noise)
-            w = synthesize_received(bits, cfg, ch, noise, rng)
+            w = synthesize_received(bits, cfg, ch, rng)
             est = estimate_sto(collect_windows(apply_sto(w, -7)))
             hits += est.n0_hat == 7
         rates.append(hits / trials)

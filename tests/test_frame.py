@@ -64,13 +64,8 @@ def test_waveform_geometry():
     cfg = cfg_for(preamble=2, pairs=3, np_samples=10, k=4, n=6)
     noise = NoisePowers(1.0, 1.0)
     ch = ChannelState.from_coefficients(1, 0.5, 0.5, noise)
-    w = synthesize_received(
-        build_bit_sequence(cfg, payload=np.array([1, 0, 0, 1])),
-        cfg,
-        ch,
-        noise,
-        np.random.default_rng(2),
-    )
+    bits = build_bit_sequence(cfg, payload=np.array([1, 0, 0, 1]))
+    w = synthesize_received(bits, cfg, ch, np.random.default_rng(2))
     assert w.pilot_start == 2 * 10
     assert w.data_start == 2 * 10 + 2 * 3 * 10
     # preamble + pilot + payload + one guard bit of N samples
@@ -78,26 +73,29 @@ def test_waveform_geometry():
 
 
 def test_synthesis_without_backscatter_is_direct_path_only():
-    # all-zero bits and zero noise: y(n) == h * s(n) with s replayable from the seed
+    # all-zero bits: y(n) == sqrt(p0) * z(n) with z replayable from the seed,
+    # where p0 = |h|^2 sigma_s^2 + sigma_w^2 whatever zeta and g are
     cfg = cfg_for(pairs=2, np_samples=8)
-    noise = NoisePowers(1.0, 0.0)
+    noise = NoisePowers(1.0, 0.25)
     h = 0.7 - 0.2j
     ch = ChannelState.from_coefficients(h, 0.9, 1.1, noise)
+    assert ch.p0 == pytest.approx(abs(h) ** 2 + 0.25, rel=1e-12)
     bits = np.zeros(cfg.total_bits, dtype=int)
-    w = synthesize_received(bits, cfg, ch, noise, np.random.default_rng(5))
-    s = gen_cgn_block(cfg.total_samples, 1.0, np.random.default_rng(5))
-    assert np.allclose(w.samples, h * s, rtol=0, atol=0)
+    w = synthesize_received(bits, cfg, ch, np.random.default_rng(5))
+    z = gen_cgn_block(cfg.total_samples, np.random.default_rng(5))
+    assert np.array_equal(w.samples, np.sqrt(ch.p0) * z)
 
 
 def test_synthesis_all_reflecting_power():
     # all-one bits, zero noise: sample power ~ |mu|^2 sigma_s^2 within 1%
     cfg = cfg_for(pairs=1, np_samples=8, k=10_000, n=100)
     noise = NoisePowers(1.0, 0.0)
-    ch = ChannelState.from_coefficients(0.3 + 0.4j, 1.0, 1.0, noise)
+    h, zeta, g = 0.3 + 0.4j, 1.0, 1.0
+    ch = ChannelState.from_coefficients(h, zeta, g, noise)
     bits = np.ones(cfg.total_bits, dtype=int)
-    w = synthesize_received(bits, cfg, ch, noise, np.random.default_rng(8))
+    w = synthesize_received(bits, cfg, ch, np.random.default_rng(8))
     power = np.mean(np.abs(w.samples) ** 2)
-    assert power == pytest.approx(abs(ch.mu) ** 2, rel=0.01)
+    assert power == pytest.approx(abs(h + zeta * g) ** 2, rel=0.01)
 
 
 def test_synthesis_segment_powers_when_backscatter_cancels():
@@ -107,7 +105,7 @@ def test_synthesis_segment_powers_when_backscatter_cancels():
     ch = ChannelState.from_coefficients(1.0, 1.0, -1.0, noise)
     payload = np.tile([0, 1], 10)
     bits = build_bit_sequence(cfg, payload=payload)
-    w = synthesize_received(bits, cfg, ch, noise, np.random.default_rng(13))
+    w = synthesize_received(bits, cfg, ch, np.random.default_rng(13))
     data = w.samples[w.data_start : w.data_start + 20 * 50_000].reshape(20, 50_000)
     p = np.mean(np.abs(data) ** 2, axis=1)
     zeros, ones = p[::2], p[1::2]
@@ -120,7 +118,7 @@ def synth_pilot(np_samples=30, pairs=4, seed=3, sigma_w_sq=0.0, h=1.0, zeta=1.0,
     noise = NoisePowers(1.0, sigma_w_sq)
     ch = ChannelState.from_coefficients(h, zeta, g, noise)
     bits = build_bit_sequence(cfg)
-    w = synthesize_received(bits, cfg, ch, noise, np.random.default_rng(seed))
+    w = synthesize_received(bits, cfg, ch, np.random.default_rng(seed))
     return w, cfg, ch
 
 
@@ -150,7 +148,7 @@ def test_apply_sto_rejects_undetectable_and_unabsorbable_shifts():
     big = FrameConfig(1, 1, 64, 0, 4)
     noise = NoisePowers(1.0, 1.0)
     ch = ChannelState.from_coefficients(1, 1, 1, noise)
-    wav = synthesize_received(build_bit_sequence(big), big, ch, noise, np.random.default_rng(0))
+    wav = synthesize_received(build_bit_sequence(big), big, ch, np.random.default_rng(0))
     with pytest.raises(ValueError):
         apply_sto(wav, 20)  # detectable (2*20 < 64) but guard is only 4 samples
 
@@ -164,27 +162,27 @@ def test_advanced_clock_pulls_previous_bit_head():
     # tau = -3: each nominal "1" window starts with 3 samples of the
     # preceding "0" bit (direct path only), the rest reflect
     w, cfg, ch = synth_pilot(np_samples=12, seed=21)
-    s = gen_cgn_block(cfg.total_samples, 1.0, np.random.default_rng(21))
+    s = gen_cgn_block(cfg.total_samples, np.random.default_rng(21))
     shifted = apply_sto(w, -3)
     for pair in range(cfg.pilot_pairs):
         start = shifted.pilot_start + (2 * pair + 1) * cfg.pilot_bit_samples
         window = shifted.samples[start : start + cfg.pilot_bit_samples]
         true_start = w.pilot_start + (2 * pair + 1) * cfg.pilot_bit_samples - 3
         seg = s[true_start : true_start + cfg.pilot_bit_samples]
-        expected = np.concatenate([ch.h * seg[:3], ch.mu * seg[3:]])
+        expected = np.concatenate([np.sqrt(ch.p0) * seg[:3], np.sqrt(ch.p1) * seg[3:]])
         assert np.allclose(window, expected, rtol=0, atol=0)
 
 
 def test_delayed_clock_pulls_next_bit_tail():
     w, cfg, ch = synth_pilot(np_samples=12, seed=22)
-    s = gen_cgn_block(cfg.total_samples, 1.0, np.random.default_rng(22))
+    s = gen_cgn_block(cfg.total_samples, np.random.default_rng(22))
     shifted = apply_sto(w, 3)
     for pair in range(cfg.pilot_pairs):
         start = shifted.pilot_start + (2 * pair + 1) * cfg.pilot_bit_samples
         window = shifted.samples[start : start + cfg.pilot_bit_samples]
         true_start = w.pilot_start + (2 * pair + 1) * cfg.pilot_bit_samples + 3
         seg = s[true_start : true_start + cfg.pilot_bit_samples]
-        expected = np.concatenate([ch.mu * seg[:-3], ch.h * seg[-3:]])
+        expected = np.concatenate([np.sqrt(ch.p1) * seg[:-3], np.sqrt(ch.p0) * seg[-3:]])
         assert np.allclose(window, expected, rtol=0, atol=0)
 
 
@@ -196,7 +194,7 @@ def test_matching_neighbor_bits_leave_window_homogeneous():
     noise = NoisePowers(1.0, 0.5)
     ch = ChannelState.from_coefficients(1.0, 0.8, 0.6, noise)
     bits = build_bit_sequence(cfg, payload=np.array([1, 1, 1]))
-    w = synthesize_received(bits, cfg, ch, noise, np.random.default_rng(17))
+    w = synthesize_received(bits, cfg, ch, np.random.default_rng(17))
     shifted = apply_sto(w, 5)
     # middle payload symbol: neighbors carry the same bit
     start = shifted.data_start + n

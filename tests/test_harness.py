@@ -10,10 +10,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from ambcsync import (
     ChannelModel,
+    ChannelState,
     ExperimentConfig,
+    Waveform,
+    gen_cgn_block,
     resolve_threads,
     run_experiment,
     write_csv,
@@ -112,23 +116,12 @@ def test_non_finite_snr_rejected(snr):
         mae_config(snr_grid_db=(5.0, snr))
 
 
-def test_resolve_threads(monkeypatch):
-    monkeypatch.delenv("AMBC_THREADS", raising=False)
+def test_resolve_threads():
     assert resolve_threads(3) == 3
     assert resolve_threads() == (os.cpu_count() or 1)
-    monkeypatch.setenv("AMBC_THREADS", "5")
-    assert resolve_threads(3) == 5  # env var wins over the explicit value
-    assert resolve_threads() == 5
-    for explicit in (0, -3):  # refused even where the env var would win
+    for explicit in (0, -3):
         with pytest.raises(ValueError, match="threads"):
             resolve_threads(explicit)
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-def test_resolve_threads_rejects_bad_env(monkeypatch, value):
-    monkeypatch.setenv("AMBC_THREADS", value)
-    with pytest.raises(ValueError, match="AMBC_THREADS"):
-        resolve_threads(3)
 
 
 def test_pool_size_capped_by_tasks_and_cores(monkeypatch):
@@ -154,7 +147,6 @@ def test_pool_size_capped_by_tasks_and_cores(monkeypatch):
 
     monkeypatch.setattr(harness.multiprocessing, "get_context", lambda method=None: SpyContext)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
-    monkeypatch.delenv("AMBC_THREADS", raising=False)
     config = mae_config(snr_grid_db=(5.0,), pilot_pairs=(8,), trials=3)
     serial = run_experiment(config)
     # 64 requested workers, 3 trials: 3 one-trial tasks need only 3 processes
@@ -221,6 +213,51 @@ def test_hist_worker_independent():
     a = run_experiment(config)
     b = run_experiment(replace(config, threads=2))
     assert a == b
+
+
+# significance of the two-path law test below, fixed before its first run
+STREAM_LAW_P_MIN = 1e-3
+
+
+def test_one_block_synthesis_keeps_the_two_block_law(monkeypatch):
+    # frames are drawn as sqrt(p_B) * z from one unit-power block; the law was
+    # first written (h + zeta*g*B)*s + w from a source and a noise block. Both
+    # paths must give one error distribution: chi-square homogeneity test on
+    # the error histograms of two independent 20,000-trial runs per channel
+    from_coefficients = ChannelState.from_coefficients
+
+    def keep_coefficients(h, zeta, g, noise):
+        ch = from_coefficients(h, zeta, g, noise)
+        return SimpleNamespace(h=h, zeta=zeta, g=g, noise=noise, p0=ch.p0, p1=ch.p1)
+
+    def two_block_law(bits, cfg, ch, rng):
+        coeff = np.repeat(ch.h + ch.zeta * ch.g * bits, cfg.bit_durations())
+        s = gen_cgn_block(coeff.size, rng) * np.sqrt(ch.noise.sigma_s_sq)
+        w = gen_cgn_block(coeff.size, rng) * np.sqrt(ch.noise.sigma_w_sq)
+        return Waveform(coeff * s + w, cfg)
+
+    static = dict(channel=ChannelModel("static", rho=0.5), snr_reference="mean_received")
+    for channel in ({}, static):
+        config = ExperimentConfig(
+            kind="error_hist", snr_grid_db=(10.0,), trials=20_000, pilot_pairs=(20,),
+            pilot_bit_samples=30, tau_choices=(-10, 10), seed=1, threads=1, **channel,
+        )
+        one_block = run_experiment(config).probabilities
+        with monkeypatch.context() as m:
+            m.setattr(ChannelState, "from_coefficients", keep_coefficients)
+            m.setattr(harness, "synthesize_received", two_block_law)
+            two_block = run_experiment(replace(config, seed=2)).probabilities
+        errors = sorted(set(one_block) | set(two_block))
+        table = np.array(
+            [[round(pmf.get(e, 0.0) * config.trials) for e in errors]
+             for pmf in (one_block, two_block)]
+        )
+        # errors seen fewer than 10 times in both runs together share one bin
+        sparse = table.sum(axis=0) < 10
+        if sparse.any():
+            table = np.column_stack([table[:, ~sparse], table[:, sparse].sum(axis=1)])
+        p_value = stats.chi2_contingency(table)[1]
+        assert p_value > STREAM_LAW_P_MIN, (channel, table.shape, p_value)
 
 
 # -------------------------------------------------------------------- results
@@ -451,6 +488,18 @@ def test_cli_list_flags_refuse_oversized_lists_before_expanding():
         assert "more than 10000 values" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "text, points",
+    [
+        ("0:20:2.5", (0.0, 2.5, 5.0, 7.5, 10.0, 12.5, 15.0, 17.5, 20.0)),
+        ("0:1:0.1", (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)),
+    ],
+)
+def test_cli_grid_points_are_the_decimal_values(text, points):
+    # 0:1:0.1 built as start + i*step in binary floats gives 0.30000000000000004
+    assert cli._float_list(text) == points
+
+
 @pytest.mark.parametrize("name", ["missing/x.csv", ".", ""])
 def test_cli_bad_out_path_exits_2_before_any_trial(tmp_path, capsys, run_spy, name):
     # a file in a directory that does not exist, a directory itself, no name
@@ -471,14 +520,6 @@ def test_cli_runtime_failure_exits_1(tmp_path, monkeypatch, capsys):
     )
     assert code == 1
     assert "disk full" in capsys.readouterr().err
-
-
-def test_cli_bad_threads_env_exits_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("AMBC_THREADS", "abc")
-    out = tmp_path / "m.csv"
-    assert cli_main(["mae", "--snr", "5", "--trials", "10", "--out", str(out)]) == 2
-    assert "AMBC_THREADS" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_cli_mae_writes_csv(tmp_path, capsys):

@@ -47,62 +47,64 @@ def test_draw_channel_deterministic():
     assert draw_channel(rng1, noise) == draw_channel(rng2, noise)
 
 
+def replay_coefficients(rng):
+    """The (h, zeta, g) that ``draw_channel`` builds from the same six normals."""
+    z = rng.standard_normal(6) * np.sqrt(0.5)
+    return complex(z[0], z[1]), complex(z[2], z[3]), complex(z[4], z[5])
+
+
 def test_draw_channel_moments():
-    # law-of-large-numbers oracle: sample means of |h|^2 and |mu|^2 over 1e5 draws
-    noise = NoisePowers(1.0, 1.0)
+    # law-of-large-numbers oracle over 1e5 draws at zero noise: E p0 = E|h|^2 = 1
+    # and E p1 = E|h + zeta g|^2 = 2
+    noise = NoisePowers(1.0, 0.0)
     rng = np.random.default_rng(2024)
     states = [draw_channel(rng, noise) for _ in range(100_000)]
-    h_pow = np.array([abs(c.h) ** 2 for c in states])
-    mu_pow = np.array([abs(c.mu) ** 2 for c in states])
-    assert h_pow.mean() == pytest.approx(1.0, abs=0.02)
-    assert mu_pow.mean() == pytest.approx(2.0, abs=0.05)
+    assert np.mean([c.p0 for c in states]) == pytest.approx(1.0, abs=0.02)
+    assert np.mean([c.p1 for c in states]) == pytest.approx(2.0, abs=0.05)
 
 
 def test_channel_state_derived_fields():
     noise = NoisePowers(2.0, 0.5)
-    rng = np.random.default_rng(1)
+    rng, replay = np.random.default_rng(1), np.random.default_rng(1)
     for _ in range(100):
         ch = draw_channel(rng, noise)
-        assert ch.mu == ch.h + ch.zeta * ch.g
-        assert ch.p0 == pytest.approx(abs(ch.h) ** 2 * 2.0 + 0.5)
-        assert ch.p1 == pytest.approx(abs(ch.mu) ** 2 * 2.0 + 0.5)
+        h, zeta, g = replay_coefficients(replay)
+        assert ch.p0 == pytest.approx(abs(h) ** 2 * 2.0 + 0.5)
+        assert ch.p1 == pytest.approx(abs(h + zeta * g) ** 2 * 2.0 + 0.5)
         assert ch.p0 >= 0.5 and ch.p1 >= 0.5
 
 
 def test_gen_cgn_block_empty_and_degenerate():
     rng = np.random.default_rng(0)
-    assert gen_cgn_block(0, 1.0, rng).shape == (0,)
-    z = gen_cgn_block(1000, 0.0, rng)
-    assert np.all(z == 0)
+    assert gen_cgn_block(0, rng).shape == (0,)
+    assert gen_cgn_block(0, rng).dtype == np.complex128
     with pytest.raises(ValueError):
-        gen_cgn_block(10, -1.0, rng)
-    with pytest.raises(ValueError):
-        gen_cgn_block(-1, 1.0, rng)
+        gen_cgn_block(-1, rng)
 
 
 def test_gen_cgn_block_sample_power():
     # sample-mean oracle at 1e6 samples; tolerance is ~5 standard errors
     rng = np.random.default_rng(11)
-    z = gen_cgn_block(1_000_000, 2.0, rng)
+    z = gen_cgn_block(1_000_000, rng)
     power = np.mean(z.real**2 + z.imag**2)
-    assert power == pytest.approx(2.0, abs=0.01)
+    assert power == pytest.approx(1.0, abs=0.005)
 
 
 def test_gen_cgn_block_component_structure():
     rng = np.random.default_rng(12)
-    z = gen_cgn_block(500_000, 4.0, rng)
-    assert np.var(z.real) == pytest.approx(2.0, rel=0.02)
-    assert np.var(z.imag) == pytest.approx(2.0, rel=0.02)
+    z = gen_cgn_block(500_000, rng)
+    assert np.var(z.real) == pytest.approx(0.5, rel=0.02)
+    assert np.var(z.imag) == pytest.approx(0.5, rel=0.02)
     corr = np.corrcoef(z.real, z.imag)[0, 1]
     assert abs(corr) < 0.01
 
 
 def test_gen_cgn_block_magnitude_chisquare_gof():
-    # |x|^2 / variance must be unit-mean exponential; 50 equiprobable bins,
+    # |x|^2 must be unit-mean exponential; 50 equiprobable bins,
     # chi-square test at significance 0.01
     rng = np.random.default_rng(314)
-    z = gen_cgn_block(100_000, 3.0, rng)
-    u = (z.real**2 + z.imag**2) / 3.0
+    z = gen_cgn_block(100_000, rng)
+    u = z.real**2 + z.imag**2
     nbins = 50
     edges = stats.expon.ppf(np.linspace(0.0, 1.0, nbins + 1))
     counts, _ = np.histogram(u, bins=edges)
@@ -112,8 +114,8 @@ def test_gen_cgn_block_magnitude_chisquare_gof():
 
 
 def test_gen_cgn_block_stream_determinism():
-    a = gen_cgn_block(4096, 1.7, np.random.default_rng(99))
-    b = gen_cgn_block(4096, 1.7, np.random.default_rng(99))
+    a = gen_cgn_block(4096, np.random.default_rng(99))
+    b = gen_cgn_block(4096, np.random.default_rng(99))
     assert np.array_equal(a, b)
 
 
@@ -129,12 +131,13 @@ def test_symbol_variances_hand_cases():
 
 def test_power_gap_sign_matches_channel_gap():
     noise = NoisePowers(1.5, 0.3)
-    rng = np.random.default_rng(5)
+    rng, replay = np.random.default_rng(5), np.random.default_rng(5)
     for _ in range(200):
         ch = draw_channel(rng, noise)
-        gap = (abs(ch.mu) ** 2 - abs(ch.h) ** 2) * noise.sigma_s_sq
-        assert ch.p1 - ch.p0 == pytest.approx(gap, rel=1e-12, abs=1e-15)
-        assert np.sign(ch.p1 - ch.p0) == np.sign(abs(ch.mu) ** 2 - abs(ch.h) ** 2)
+        h, zeta, g = replay_coefficients(replay)
+        contrast = abs(h + zeta * g) ** 2 - abs(h) ** 2
+        assert ch.p1 - ch.p0 == pytest.approx(contrast * noise.sigma_s_sq, rel=1e-12, abs=1e-15)
+        assert np.sign(ch.p1 - ch.p0) == np.sign(contrast)
 
 
 def test_trial_rng_substreams():
@@ -155,7 +158,7 @@ def test_static_channel_powers_per_snr_reference():
     source = model.noise_for_snr(10.0, "source")
     assert source == NoisePowers.from_snr_db(10.0)
     ch = model.static_state(source)
-    assert ch.mu == ch.h + ch.zeta * ch.g
+    assert ch == ChannelState.from_coefficients(1, np.sqrt(0.5), 1j, source)
     assert ch.p0 == pytest.approx(1.1, rel=1e-12)
     assert ch.p1 == pytest.approx(1.6, rel=1e-12)
     # mean received power over the two equiprobable states: (1 + 1.5) / 2 = 1.25
