@@ -9,10 +9,10 @@ and detects the payload.  Everything is seeded, so the printout is stable.
 import numpy as np
 
 from ambcsync import (
+    ChannelModel,
     ChannelState,
     DetectorParams,
     FrameConfig,
-    NoisePowers,
     apply_sto,
     build_bit_sequence,
     collect_windows,
@@ -34,7 +34,7 @@ cfg = FrameConfig(
     data_symbols=24,
     data_symbol_samples=50,
 )
-noise = NoisePowers.from_snr_db(15.0)
+noise = ChannelModel().noise_for_snr(15.0)  # unit source power, 15 dB SNR
 channel = ChannelState.from_coefficients(
     h=0.9 + 0.3j, zeta=1.1 - 0.2j, g=0.8 + 0.5j, noise=noise
 )

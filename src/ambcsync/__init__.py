@@ -31,14 +31,12 @@ from .frame import (
 )
 from .harness import (
     ExperimentConfig,
-    resolve_threads,
     run_experiment,
     write_csv,
 )
 from .signal_model import (
     ChannelModel,
     ChannelState,
-    NoisePowers,
     draw_channel,
     gen_cgn_block,
     trial_rng,
@@ -54,7 +52,6 @@ __all__ = [
     "DetectorParams",
     "ExperimentConfig",
     "FrameConfig",
-    "NoisePowers",
     "Waveform",
     "apply_sto",
     "build_bit_sequence",
@@ -66,7 +63,6 @@ __all__ = [
     "estimate_sto",
     "gen_cgn_block",
     "log_likelihood_reduced",
-    "resolve_threads",
     "run_experiment",
     "synthesize_received",
     "trial_rng",

@@ -15,7 +15,7 @@ import sys
 import time
 from decimal import Decimal
 
-from .harness import ExperimentConfig, resolve_threads, run_experiment, write_csv
+from .harness import ExperimentConfig, run_experiment, write_csv
 
 # subcommand -> (experiment kind, help, default --pairs, default SNR grid in dB);
 # hist runs a single SNR point
@@ -57,7 +57,8 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def _float_list(text: str) -> tuple[float, ...]:
-    """Comma list of values and inclusive start:stop:step grids, e.g. 0:20:2.5,25."""
+    """Comma list of values and start:stop:step grids, e.g. 0:20:2.5,25; a grid
+    includes stop when it lies on a step and never passes it."""
     values: list[float] = []
     for tok in filter(None, text.split(",")):
         if ":" in tok:
@@ -67,11 +68,12 @@ def _float_list(text: str) -> tuple[float, ...]:
             start, stop, step = (float(p) for p in parts)
             if not (0 < step < math.inf and math.isfinite(stop - start) and stop >= start):
                 raise argparse.ArgumentTypeError(f"bad grid {tok!r}: need start <= stop, step > 0")
-            steps = (stop - start) / step
-            _check_room(values, steps + 1)
-            # points in decimal arithmetic: 0:1:0.1 yields 0.3, not 0.30000000000000004
+            _check_room(values, (stop - start) / step + 1)
+            # points in decimal arithmetic: 0:1:0.1 yields 0.3, not 0.30000000000000004,
+            # and the last one lies at or before stop (0:20:7 ends at 14)
             first, delta = Decimal(repr(start)), Decimal(repr(step))
-            values.extend(float(first + i * delta) for i in range(int(round(steps)) + 1))
+            steps = int((Decimal(repr(stop)) - first) // delta)
+            values.extend(float(first + i * delta) for i in range(steps + 1))
         else:
             _check_room(values, 1)
             values.append(float(tok))
@@ -137,7 +139,6 @@ def cli_main(argv=None) -> int:
         # flag values and the output directory are input: all are checked
         # before any trial runs, and a bad one exits 2
         config = ExperimentConfig(**args)
-        resolve_threads(config.threads)
         folder, name = os.path.split(out)
         if not name or os.path.isdir(out) or not os.path.isdir(folder or "."):
             raise ValueError(f"--out {out!r} is not a file path in an existing directory")

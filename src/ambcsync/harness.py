@@ -3,7 +3,10 @@
 Three experiment kinds are supported: mean-absolute-error of the timing
 estimate versus SNR, the empirical distribution of the estimation error,
 and a paired bit-error-rate comparison (no compensation / estimated
-compensation / ideal synchronization).
+compensation / ideal synchronization).  All three run one trial pipeline:
+draw the offset and the channel, synthesize the frame, offset its clock and
+estimate the offset from the pilot; a frame with a payload is also detected
+three ways.
 
 Every trial owns an independent random substream derived from the root
 seed and the (cell, trial) counters, and all aggregation is over integer
@@ -15,7 +18,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +60,8 @@ class ExperimentConfig:
         tau_choices: candidate timing offsets; each trial draws uniformly
             from this set (a singleton pins the offset).
         seed: non-negative root seed for the substream derivation.
-        threads: worker count; default is the available parallelism.
+        threads: worker count, a positive integer; the default is the
+            available parallelism.
         channel: channel law; the default is Rayleigh block fading with one
             draw per frame.
         snr_reference: signal power the SNR refers to, ``source`` (the
@@ -85,6 +88,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        if self.threads is not None and self.threads < 1:
+            raise ValueError(f"threads must be a positive integer, got {self.threads}")
         axes = (self.snr_grid_db, self.pilot_pairs, self.symbol_samples, self.tau_choices)
         if not all(axes):
             raise ValueError(
@@ -92,7 +97,7 @@ class ExperimentConfig:
             )
         if not all(np.isfinite(self.snr_grid_db)):
             raise ValueError(f"snr_grid_db must be finite, got {self.snr_grid_db}")
-        for name in _KINDS[self.kind][2]:
+        for name in _KINDS[self.kind][1]:
             if len(getattr(self, name)) != 1:
                 raise ValueError(f"{self.kind} takes one {name} value, got {getattr(self, name)}")
         if self.kind == "ber_compare" and self.data_symbols < 1:
@@ -159,18 +164,6 @@ class BerResult:
         return _csv("snr_db,N,ber_no_comp,ber_comp,ber_ideal,bits", self.rows)
 
 
-def resolve_threads(explicit: int | None = None) -> int:
-    """Worker count: the explicit value, else all cores.
-
-    Raises ValueError if the explicit value is not a positive integer.
-    """
-    if explicit is None:
-        return os.cpu_count() or 1
-    if explicit < 1:
-        raise ValueError(f"threads must be a positive integer, got {explicit}")
-    return int(explicit)
-
-
 def _cells(config: ExperimentConfig) -> list[tuple[float, int, FrameConfig]]:
     """(SNR, swept value, frame) for each grid cell, in row order: the BER
     experiment sweeps N at its one L, the others sweep L with no payload."""
@@ -185,82 +178,43 @@ def _cells(config: ExperimentConfig) -> list[tuple[float, int, FrameConfig]]:
     return [(snr, pairs, frame(pairs, 0, n)) for snr in snrs for pairs in config.pilot_pairs]
 
 
-def _cell_trials(config: ExperimentConfig, cell_index: int, start: int, stop: int):
-    """The setup both chunk kinds share for trials [start, stop) of one cell.
+def _run_task(args) -> np.ndarray:
+    """Run trials [start, stop) of one cell; every experiment kind runs this loop.
 
-    Returns the cell's frame, a per-trial channel source (a fresh draw under
-    fading, the fixed state of a static channel) and an iterator over the
-    trials that yields each one's substream and its offset drawn from
-    ``tau_choices``.
+    Returns int64 counts: entry i < 2 N_p + 1 counts the signed estimation
+    error i - N_p (|error| can never exceed N_p), and the last three entries
+    are the payload bit errors under ideal sync, no compensation and the
+    estimated compensation (zero for a frame without payload).
     """
+    config, cell_index, start, stop = args
     snr, _, frame = _cells(config)[cell_index]
     noise = config.channel.noise_for_snr(snr, config.snr_reference)
-    if config.channel.kind == "static":
-        state = config.channel.static_state(noise)
-        channel = lambda rng: state
-    else:
-        channel = lambda rng: draw_channel(rng, noise)
-    taus = np.asarray(config.tau_choices, dtype=np.int64)
-
-    def trials() -> Iterator[tuple[np.random.Generator, int]]:
-        for trial in range(start, stop):
-            rng = trial_rng(config.seed, cell_index, trial)
-            yield rng, int(taus[rng.integers(taus.size)])
-
-    return frame, channel, trials()
-
-
-def _error_counts(
-    config: ExperimentConfig, cell_index: int, start: int, stop: int
-) -> np.ndarray:
-    """Run estimation trials [start, stop) of one cell; count each signed error.
-
-    Entry i counts the error i - N_p (|error| can never exceed N_p).
-    """
-    frame, channel, trials = _cell_trials(config, cell_index, start, stop)
-    bits = build_bit_sequence(frame)
-    errors = np.empty(stop - start, dtype=np.int64)
-    for i, (rng, tau) in enumerate(trials):
-        w = synthesize_received(bits, frame, channel(rng), rng)
-        errors[i] = tau - estimate_sto(collect_windows(apply_sto(w, tau))).tau_hat
-    span = config.pilot_bit_samples
-    return np.bincount(errors + span, minlength=2 * span + 1)
-
-
-def _ber_chunk(
-    config: ExperimentConfig, cell_index: int, start: int, stop: int
-) -> tuple[int, int, int, int, int]:
-    """Paired-trial error counts: (ideal, no_comp, comp, bits, redraws)."""
-    frame, channel, trials = _cell_trials(config, cell_index, start, stop)
-    k = frame.data_symbols
-    e_ideal = e_nocomp = e_comp = redraws = 0
-    for rng, tau in trials:
-        while True:
-            ch = channel(rng)
-            if not _degenerate(ch):
-                break
-            redraws += 1
-        payload = rng.integers(0, 2, size=k)
-        bits = build_bit_sequence(frame, payload)
+    fixed = config.channel.static_state(noise) if config.channel.kind == "static" else None
+    taus, k, span = config.tau_choices, frame.data_symbols, config.pilot_bit_samples
+    counts = np.zeros(2 * span + 4, dtype=np.int64)
+    if not k:
+        bits = build_bit_sequence(frame)
+    for trial in range(start, stop):
+        rng = trial_rng(config.seed, cell_index, trial)
+        tau = taus[rng.integers(len(taus))]
+        ch = draw_channel(rng, noise) if fixed is None else fixed
+        if k:
+            # the threshold needs distinct on/off powers; the config refuses
+            # a degenerate static channel, so only a fading draw is redrawn
+            while _degenerate(ch):
+                ch = draw_channel(rng, noise)
+            payload = rng.integers(0, 2, size=k)
+            bits = build_bit_sequence(frame, payload)
         w = synthesize_received(bits, frame, ch, rng)
-        params = DetectorParams.from_powers(frame.data_symbol_samples, ch.p0, ch.p1)
-
-        ideal_bits, _ = _detect_bits(w, params, 0)
         w_sto = apply_sto(w, tau)
-        nocomp_bits, _ = _detect_bits(w_sto, params, 0)
-        est = estimate_sto(collect_windows(w_sto))
-        comp_bits, _ = _detect_bits(w_sto, params, est.tau_hat)
-
-        e_ideal += int((ideal_bits != payload).sum())
-        e_nocomp += int((nocomp_bits != payload).sum())
-        e_comp += int((comp_bits != payload).sum())
-    bits_counted = (stop - start) * k
-    return e_ideal, e_nocomp, e_comp, bits_counted, redraws
-
-
-def _run_task(args):
-    config, cell_index, start, stop = args
-    return _KINDS[config.kind][0](config, cell_index, start, stop)
+        tau_hat = estimate_sto(collect_windows(w_sto)).tau_hat
+        counts[tau - tau_hat + span] += 1
+        if k:
+            params = DetectorParams.from_powers(frame.data_symbol_samples, ch.p0, ch.p1)
+            for i, (wave, shift) in enumerate(((w, 0), (w_sto, 0), (w_sto, tau_hat))):
+                decided, _ = _detect_bits(wave, params, shift)
+                counts[2 * span + 1 + i] += int((decided != payload).sum())
+    return counts
 
 
 def _trial_ranges(trials: int, parts: int) -> list[tuple[int, int]]:
@@ -269,10 +223,10 @@ def _trial_ranges(trials: int, parts: int) -> list[tuple[int, int]]:
     return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
 
 
-def _execute(config: ExperimentConfig) -> list[list]:
-    """Run all (cell, trial-range) tasks; returns chunk outputs grouped by cell."""
+def _execute(config: ExperimentConfig) -> list[np.ndarray]:
+    """Run all (cell, trial-range) tasks; returns each cell's summed counts."""
     cells = _cells(config)
-    threads = resolve_threads(config.threads)
+    threads = config.threads or os.cpu_count() or 1
     ranges = _trial_ranges(config.trials, threads)
     tasks = [
         (config, ci, a, b) for ci in range(len(cells)) for (a, b) in ranges
@@ -288,56 +242,53 @@ def _execute(config: ExperimentConfig) -> list[list]:
         with ctx.Pool(processes=processes) as pool:
             outputs = pool.map(_run_task, tasks, chunksize=1)
     per_cell = len(ranges)
-    return [outputs[i * per_cell : (i + 1) * per_cell] for i in range(len(cells))]
+    return [np.sum(outputs[i * per_cell : (i + 1) * per_cell], axis=0) for i in range(len(cells))]
 
 
-def _mae(config: ExperimentConfig, grouped: list[list]) -> MaeResult:
+def _mae(config: ExperimentConfig, counts: list[np.ndarray]) -> MaeResult:
     """Mean absolute estimation error per (SNR, L) cell."""
     span = config.pilot_bit_samples
     abs_errors = np.abs(np.arange(-span, span + 1))
     rows = []
-    for (snr, pairs, _), chunks in zip(_cells(config), grouped):
-        abs_sum = int(abs_errors @ np.sum(chunks, axis=0))
+    for (snr, pairs, _), c in zip(_cells(config), counts):
+        abs_sum = int(abs_errors @ c[: 2 * span + 1])
         rows.append((snr, pairs, abs_sum / config.trials, config.trials))
     return MaeResult(rows=tuple(rows))
 
 
-def _error_hist(config: ExperimentConfig, grouped: list[list]) -> ErrorHistResult:
+def _error_hist(config: ExperimentConfig, counts: list[np.ndarray]) -> ErrorHistResult:
     """Empirical pmf of the signed estimation error at one (SNR, L) point."""
-    counts = np.sum(grouped[0], axis=0)
     span = config.pilot_bit_samples
     probs = {
-        int(eps - span): int(c) / config.trials
-        for eps, c in enumerate(counts)
+        eps - span: int(c) / config.trials
+        for eps, c in enumerate(counts[0][: 2 * span + 1])
         if c > 0
     }
     return ErrorHistResult(probabilities=probs)
 
 
-def _ber(config: ExperimentConfig, grouped: list[list]) -> BerResult:
+def _ber(config: ExperimentConfig, counts: list[np.ndarray]) -> BerResult:
     """Paired BER under no compensation, estimated compensation, and ideal sync."""
+    bits = config.trials * config.data_symbols
     rows = []
-    for (snr, n, _), chunks in zip(_cells(config), grouped):
-        e_ideal = sum(c[0] for c in chunks)
-        e_nocomp = sum(c[1] for c in chunks)
-        e_comp = sum(c[2] for c in chunks)
-        bits = sum(c[3] for c in chunks)
+    for (snr, n, _), c in zip(_cells(config), counts):
+        e_ideal, e_nocomp, e_comp = (int(e) for e in c[-3:])
         rows.append((snr, n, e_nocomp / bits, e_comp / bits, e_ideal / bits, bits))
     return BerResult(rows=tuple(rows))
 
 
-# kind -> (chunk function each task runs, aggregator of the grouped chunk
-# outputs, the config fields the kind does not sweep and so takes one value of)
+# kind -> (aggregator of the cells' summed counts, the config fields the kind
+# does not sweep and so takes one value of)
 _KINDS = {
-    "mae_vs_snr": (_error_counts, _mae, ("symbol_samples",)),
-    "error_hist": (_error_counts, _error_hist, ("snr_grid_db", "pilot_pairs", "symbol_samples")),
-    "ber_compare": (_ber_chunk, _ber, ("pilot_pairs",)),
+    "mae_vs_snr": (_mae, ("symbol_samples",)),
+    "error_hist": (_error_hist, ("snr_grid_db", "pilot_pairs", "symbol_samples")),
+    "ber_compare": (_ber, ("pilot_pairs",)),
 }
 
 
 def run_experiment(config: ExperimentConfig) -> MaeResult | ErrorHistResult | BerResult:
     """Run every trial of the experiment and aggregate them by its kind."""
-    return _KINDS[config.kind][1](config, _execute(config))
+    return _KINDS[config.kind][0](config, _execute(config))
 
 
 def write_csv(text: str, path: str) -> None:

@@ -18,37 +18,6 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class NoisePowers:
-    """Ambient source power and receiver noise power (linear scale)."""
-
-    sigma_s_sq: float = 1.0
-    sigma_w_sq: float = 1.0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.sigma_s_sq) and self.sigma_s_sq >= 0):
-            raise ValueError(f"source power must be finite and >= 0, got {self.sigma_s_sq}")
-        if not (np.isfinite(self.sigma_w_sq) and self.sigma_w_sq >= 0):
-            raise ValueError(f"noise power must be finite and >= 0, got {self.sigma_w_sq}")
-
-    @classmethod
-    def from_snr_db(cls, snr_db: float, sigma_s_sq: float = 1.0) -> "NoisePowers":
-        """Hold the source power fixed and set the noise floor from an SNR in dB."""
-        return cls(sigma_s_sq=sigma_s_sq, sigma_w_sq=_noise_power(snr_db, sigma_s_sq))
-
-
-def _noise_power(snr_db: float, signal_power: float) -> float:
-    """The noise power ``snr_db`` dB below ``signal_power``; a ValueError names
-    an SNR whose noise power is not a finite float."""
-    try:
-        power = signal_power * 10.0 ** (-snr_db / 10.0)
-    except OverflowError:
-        power = np.inf
-    if not np.isfinite(power):
-        raise ValueError(f"SNR {snr_db} dB gives a noise power that is not finite")
-    return power
-
-
-@dataclass(frozen=True)
 class ChannelState:
     """One coherence block's received per-sample powers under the "absorb"
     (``p0``) and "reflect" (``p1``) hypotheses."""
@@ -58,22 +27,22 @@ class ChannelState:
 
     @classmethod
     def from_coefficients(
-        cls, h: complex, zeta: complex, g: complex, noise: NoisePowers
+        cls, h: complex, zeta: complex, g: complex, noise: float
     ) -> "ChannelState":
         """The received law: a sample of bit B is h*s + zeta*g*B*s + w with
-        source s ~ CN(0, sigma_s^2) and noise w ~ CN(0, sigma_w^2), i.e. a
-        CN(0, p_B) draw with p_B = |h + zeta*g*B|^2 sigma_s^2 + sigma_w^2."""
-        p0 = abs(h) ** 2 * noise.sigma_s_sq + noise.sigma_w_sq
-        p1 = abs(h + zeta * g) ** 2 * noise.sigma_s_sq + noise.sigma_w_sq
-        return cls(p0=p0, p1=p1)
+        unit-power source s ~ CN(0, 1) and noise w ~ CN(0, noise), i.e. a
+        CN(0, p_B) draw with p_B = |h + zeta*g*B|^2 + noise."""
+        if not 0.0 <= noise < np.inf:
+            raise ValueError(f"noise power must be finite and >= 0, got {noise}")
+        return cls(p0=abs(h) ** 2 + noise, p1=abs(h + zeta * g) ** 2 + noise)
 
 
-def draw_channel(rng: np.random.Generator, noise: NoisePowers) -> ChannelState:
+def draw_channel(rng: np.random.Generator, noise: float) -> ChannelState:
     """Draw one coherence block: h, zeta, g i.i.d. unit-variance complex Gaussian.
 
     Args:
         rng: seeded generator; six normal deviates are consumed.
-        noise: source and noise powers that set p0/p1.
+        noise: noise power sigma_w^2 (the source has unit power).
     """
     z = rng.standard_normal(6) * np.sqrt(0.5)
     h = complex(z[0], z[1])
@@ -117,23 +86,30 @@ class ChannelModel:
                 f"the Rayleigh model has unit-variance paths (rho = 1), got rho={self.rho}"
             )
 
-    def noise_for_snr(self, snr_db: float, reference: str = "source") -> NoisePowers:
-        """Unit source power and the noise power that sets ``snr_db``.
+    def noise_for_snr(self, snr_db: float, reference: str = "source") -> float:
+        """The noise power sigma_w^2 that sets ``snr_db`` at unit source power.
 
-        ``source``: SNR = sigma_s^2 / sigma_w^2.
+        ``source``: SNR = 1 / sigma_w^2.
         ``mean_received``: SNR is the mean received signal power over the two
         equiprobable bit states, (E|h|^2 + E|mu|^2) / 2 = 1 + rho/2, over
         sigma_w^2.
+        A ValueError names an unknown reference, or an SNR whose noise power
+        is not a finite float.
         """
-        if reference == "source":
-            return NoisePowers.from_snr_db(snr_db)
-        if reference == "mean_received":
-            return NoisePowers(1.0, _noise_power(snr_db, 1.0 + self.rho / 2.0))
-        raise ValueError(
-            f"unknown SNR reference {reference!r}, expected one of {SNR_REFERENCES}"
-        )
+        if reference not in SNR_REFERENCES:
+            raise ValueError(
+                f"unknown SNR reference {reference!r}, expected one of {SNR_REFERENCES}"
+            )
+        signal = 1.0 if reference == "source" else 1.0 + self.rho / 2.0
+        try:
+            power = signal * 10.0 ** (-snr_db / 10.0)
+        except OverflowError:
+            power = np.inf
+        if not np.isfinite(power):
+            raise ValueError(f"SNR {snr_db} dB gives a noise power that is not finite")
+        return power
 
-    def static_state(self, noise: NoisePowers) -> ChannelState:
+    def static_state(self, noise: float) -> ChannelState:
         """The one channel state of a ``static`` model."""
         if self.kind != "static":
             raise ValueError(f"a {self.kind!r} channel has no fixed state")

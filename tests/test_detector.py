@@ -11,7 +11,6 @@ from ambcsync import (
     DegenerateChannelError,
     DetectorParams,
     FrameConfig,
-    NoisePowers,
     Waveform,
     apply_sto,
     build_bit_sequence,
@@ -196,7 +195,7 @@ def test_detector_params_from_powers():
 
 def make_frame(k=8, n=20, tau_payload=None, seed=2, snr_db=20.0, h=1.0, zeta=1.0, g=1.0):
     cfg = FrameConfig(1, 4, 30, k, n)
-    noise = NoisePowers.from_snr_db(snr_db)
+    noise = 10 ** (-snr_db / 10)
     ch = ChannelState.from_coefficients(h, zeta, g, noise)
     rng = np.random.default_rng(seed)
     payload = tau_payload if tau_payload is not None else rng.integers(0, 2, size=k)

@@ -11,7 +11,6 @@ from ambcsync import (
     ChannelState,
     DegenerateSegmentError,
     FrameConfig,
-    NoisePowers,
     apply_sto,
     build_bit_sequence,
     collect_windows,
@@ -27,7 +26,7 @@ from ambcsync import (
 
 def pilot_waveform(pairs=4, np_samples=12, seed=3, snr_db=None, h=1.0, zeta=1.0, g=1.0):
     cfg = FrameConfig(1, pairs, np_samples, 0, np_samples)
-    noise = NoisePowers(1.0, 0.0 if snr_db is None else 10 ** (-snr_db / 10))
+    noise = 0.0 if snr_db is None else 10 ** (-snr_db / 10)
     ch = ChannelState.from_coefficients(h, zeta, g, noise)
     w = synthesize_received(build_bit_sequence(cfg), cfg, ch, np.random.default_rng(seed))
     return w, cfg, ch
@@ -245,7 +244,7 @@ def test_recovery_rate_nondecreasing_in_pilot_length():
     rates = []
     for li, pairs in enumerate((10, 20, 40)):
         cfg = FrameConfig(1, pairs, 30, 0, 30)
-        noise = NoisePowers.from_snr_db(snr_db)
+        noise = 10 ** (-snr_db / 10)
         bits = build_bit_sequence(cfg)
         hits = 0
         for t in range(trials):

@@ -7,7 +7,6 @@ from scipy import stats
 from ambcsync import (
     ChannelState,
     FrameConfig,
-    NoisePowers,
     apply_sto,
     build_bit_sequence,
     gen_cgn_block,
@@ -62,7 +61,7 @@ def test_bit_sequence_random_payload_needs_rng():
 
 def test_waveform_geometry():
     cfg = cfg_for(preamble=2, pairs=3, np_samples=10, k=4, n=6)
-    noise = NoisePowers(1.0, 1.0)
+    noise = 1.0
     ch = ChannelState.from_coefficients(1, 0.5, 0.5, noise)
     bits = build_bit_sequence(cfg, payload=np.array([1, 0, 0, 1]))
     w = synthesize_received(bits, cfg, ch, np.random.default_rng(2))
@@ -74,9 +73,9 @@ def test_waveform_geometry():
 
 def test_synthesis_without_backscatter_is_direct_path_only():
     # all-zero bits: y(n) == sqrt(p0) * z(n) with z replayable from the seed,
-    # where p0 = |h|^2 sigma_s^2 + sigma_w^2 whatever zeta and g are
+    # where p0 = |h|^2 + sigma_w^2 whatever zeta and g are
     cfg = cfg_for(pairs=2, np_samples=8)
-    noise = NoisePowers(1.0, 0.25)
+    noise = 0.25
     h = 0.7 - 0.2j
     ch = ChannelState.from_coefficients(h, 0.9, 1.1, noise)
     assert ch.p0 == pytest.approx(abs(h) ** 2 + 0.25, rel=1e-12)
@@ -87,9 +86,9 @@ def test_synthesis_without_backscatter_is_direct_path_only():
 
 
 def test_synthesis_all_reflecting_power():
-    # all-one bits, zero noise: sample power ~ |mu|^2 sigma_s^2 within 1%
+    # all-one bits, zero noise: sample power ~ |mu|^2 within 1%
     cfg = cfg_for(pairs=1, np_samples=8, k=10_000, n=100)
-    noise = NoisePowers(1.0, 0.0)
+    noise = 0.0
     h, zeta, g = 0.3 + 0.4j, 1.0, 1.0
     ch = ChannelState.from_coefficients(h, zeta, g, noise)
     bits = np.ones(cfg.total_bits, dtype=int)
@@ -101,7 +100,7 @@ def test_synthesis_all_reflecting_power():
 def test_synthesis_segment_powers_when_backscatter_cancels():
     # h=1, zeta=1, g=-1 gives mu=0: reflecting bits carry only noise power
     cfg = cfg_for(pairs=1, np_samples=8, k=20, n=50_000)
-    noise = NoisePowers(1.0, 1.0)
+    noise = 1.0
     ch = ChannelState.from_coefficients(1.0, 1.0, -1.0, noise)
     payload = np.tile([0, 1], 10)
     bits = build_bit_sequence(cfg, payload=payload)
@@ -115,7 +114,7 @@ def test_synthesis_segment_powers_when_backscatter_cancels():
 
 def synth_pilot(np_samples=30, pairs=4, seed=3, sigma_w_sq=0.0, h=1.0, zeta=1.0, g=1.0):
     cfg = cfg_for(pairs=pairs, np_samples=np_samples, n=np_samples)
-    noise = NoisePowers(1.0, sigma_w_sq)
+    noise = sigma_w_sq
     ch = ChannelState.from_coefficients(h, zeta, g, noise)
     bits = build_bit_sequence(cfg)
     w = synthesize_received(bits, cfg, ch, np.random.default_rng(seed))
@@ -146,7 +145,7 @@ def test_apply_sto_rejects_undetectable_and_unabsorbable_shifts():
         apply_sto(w, -10)
     # a shift past the guard is caught by the range check
     big = FrameConfig(1, 1, 64, 0, 4)
-    noise = NoisePowers(1.0, 1.0)
+    noise = 1.0
     ch = ChannelState.from_coefficients(1, 1, 1, noise)
     wav = synthesize_received(build_bit_sequence(big), big, ch, np.random.default_rng(0))
     with pytest.raises(ValueError):
@@ -191,7 +190,7 @@ def test_matching_neighbor_bits_leave_window_homogeneous():
     # two-sided F test on the head/tail split at significance 0.01
     n = 10_000
     cfg = cfg_for(pairs=1, np_samples=16, k=3, n=n)
-    noise = NoisePowers(1.0, 0.5)
+    noise = 0.5
     ch = ChannelState.from_coefficients(1.0, 0.8, 0.6, noise)
     bits = build_bit_sequence(cfg, payload=np.array([1, 1, 1]))
     w = synthesize_received(bits, cfg, ch, np.random.default_rng(17))

@@ -2,7 +2,6 @@
 
 import argparse
 import math
-import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -18,7 +17,6 @@ from ambcsync import (
     ExperimentConfig,
     Waveform,
     gen_cgn_block,
-    resolve_threads,
     run_experiment,
     write_csv,
 )
@@ -59,6 +57,10 @@ def test_config_validation():
         mae_config(tau_choices=(5,), symbol_samples=(50, 4))  # only a BER run sweeps N
     with pytest.raises(ValueError, match="seed"):
         mae_config(seed=-1)
+    for threads in (0, -3):
+        with pytest.raises(ValueError, match="threads"):
+            mae_config(threads=threads)
+    mae_config(threads=None)
     with pytest.raises(ValueError):
         ExperimentConfig(
             kind="error_hist", snr_grid_db=(5.0, 10.0), trials=10, pilot_pairs=(8,),
@@ -116,14 +118,6 @@ def test_non_finite_snr_rejected(snr):
         mae_config(snr_grid_db=(5.0, snr))
 
 
-def test_resolve_threads():
-    assert resolve_threads(3) == 3
-    assert resolve_threads() == (os.cpu_count() or 1)
-    for explicit in (0, -3):
-        with pytest.raises(ValueError, match="threads"):
-            resolve_threads(explicit)
-
-
 def test_pool_size_capped_by_tasks_and_cores(monkeypatch):
     pools = []  # (processes, tasks) per pool started
 
@@ -154,7 +148,9 @@ def test_pool_size_capped_by_tasks_and_cores(monkeypatch):
     # 64 requested workers, 100 trials: still 64 tasks, but one process per core
     config = replace(config, trials=100)
     assert run_experiment(replace(config, threads=64)) == run_experiment(config)
-    assert pools == [(3, 3), (4, 64)]
+    # no requested count: one task and one process per core
+    assert run_experiment(replace(config, threads=None)) == run_experiment(config)
+    assert pools == [(3, 3), (4, 64), (4, 4)]
 
 
 # ------------------------------------------------------------------ determinism
@@ -232,8 +228,8 @@ def test_one_block_synthesis_keeps_the_two_block_law(monkeypatch):
 
     def two_block_law(bits, cfg, ch, rng):
         coeff = np.repeat(ch.h + ch.zeta * ch.g * bits, cfg.bit_durations())
-        s = gen_cgn_block(coeff.size, rng) * np.sqrt(ch.noise.sigma_s_sq)
-        w = gen_cgn_block(coeff.size, rng) * np.sqrt(ch.noise.sigma_w_sq)
+        s = gen_cgn_block(coeff.size, rng)
+        w = gen_cgn_block(coeff.size, rng) * np.sqrt(ch.noise)
         return Waveform(coeff * s + w, cfg)
 
     static = dict(channel=ChannelModel("static", rho=0.5), snr_reference="mean_received")
@@ -493,10 +489,14 @@ def test_cli_list_flags_refuse_oversized_lists_before_expanding():
     [
         ("0:20:2.5", (0.0, 2.5, 5.0, 7.5, 10.0, 12.5, 15.0, 17.5, 20.0)),
         ("0:1:0.1", (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)),
+        ("0:20:7", (0.0, 7.0, 14.0)),
+        ("0:1:0.6", (0.0, 0.6)),
+        ("0:0.3:0.1", (0.0, 0.1, 0.2, 0.3)),
     ],
 )
 def test_cli_grid_points_are_the_decimal_values(text, points):
-    # 0:1:0.1 built as start + i*step in binary floats gives 0.30000000000000004
+    # 0:1:0.1 built as start + i*step in binary floats gives 0.30000000000000004;
+    # a grid stops at or before stop, and 0.3 / 0.1 counts 3 steps, not 2.9999...
     assert cli._float_list(text) == points
 
 

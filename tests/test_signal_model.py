@@ -9,36 +9,25 @@ from scipy import stats
 from ambcsync import (
     ChannelModel,
     ChannelState,
-    NoisePowers,
     draw_channel,
     gen_cgn_block,
     trial_rng,
 )
 
 
-def test_noise_powers_from_snr_db():
-    assert NoisePowers.from_snr_db(0.0) == NoisePowers(1.0, 1.0)
-    np10 = NoisePowers.from_snr_db(10.0)
-    assert np10.sigma_s_sq == 1.0
-    assert np10.sigma_w_sq == pytest.approx(0.1)
-
-
 def test_noise_powers_validation():
-    with pytest.raises(ValueError):
-        NoisePowers(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        NoisePowers(1.0, -0.5)
-    for bad in (math.nan, math.inf):
+    # the received law refuses a noise power that is negative or not finite
+    for bad in (-0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
-            NoisePowers(1.0, bad)
+            ChannelState.from_coefficients(1, 1, 1, bad)
         with pytest.raises(ValueError, match="finite"):
-            NoisePowers(bad, 1.0)
+            draw_channel(np.random.default_rng(0), bad)
     # a zero noise floor is allowed for noise-free constructions
-    NoisePowers(1.0, 0.0)
+    assert ChannelState.from_coefficients(1, 1, 1, 0.0) == ChannelState(1.0, 4.0)
 
 
 def test_draw_channel_deterministic():
-    noise = NoisePowers(1.0, 1.0)
+    noise = 1.0
     a = [draw_channel(trial_rng(42, 0, t), noise) for t in range(5)]
     b = [draw_channel(trial_rng(42, 0, t), noise) for t in range(5)]
     assert a == b
@@ -56,7 +45,7 @@ def replay_coefficients(rng):
 def test_draw_channel_moments():
     # law-of-large-numbers oracle over 1e5 draws at zero noise: E p0 = E|h|^2 = 1
     # and E p1 = E|h + zeta g|^2 = 2
-    noise = NoisePowers(1.0, 0.0)
+    noise = 0.0
     rng = np.random.default_rng(2024)
     states = [draw_channel(rng, noise) for _ in range(100_000)]
     assert np.mean([c.p0 for c in states]) == pytest.approx(1.0, abs=0.02)
@@ -64,13 +53,13 @@ def test_draw_channel_moments():
 
 
 def test_channel_state_derived_fields():
-    noise = NoisePowers(2.0, 0.5)
+    noise = 0.5
     rng, replay = np.random.default_rng(1), np.random.default_rng(1)
     for _ in range(100):
         ch = draw_channel(rng, noise)
         h, zeta, g = replay_coefficients(replay)
-        assert ch.p0 == pytest.approx(abs(h) ** 2 * 2.0 + 0.5)
-        assert ch.p1 == pytest.approx(abs(h + zeta * g) ** 2 * 2.0 + 0.5)
+        assert ch.p0 == pytest.approx(abs(h) ** 2 + 0.5)
+        assert ch.p1 == pytest.approx(abs(h + zeta * g) ** 2 + 0.5)
         assert ch.p0 >= 0.5 and ch.p1 >= 0.5
 
 
@@ -120,7 +109,7 @@ def test_gen_cgn_block_stream_determinism():
 
 
 def test_symbol_variances_hand_cases():
-    noise = NoisePowers(1.0, 1.0)
+    noise = 1.0
     zero = ChannelState.from_coefficients(0, 0, 0, noise)
     assert (zero.p0, zero.p1) == (1.0, 1.0)
     plus = ChannelState.from_coefficients(1, 1, 1, noise)
@@ -130,13 +119,13 @@ def test_symbol_variances_hand_cases():
 
 
 def test_power_gap_sign_matches_channel_gap():
-    noise = NoisePowers(1.5, 0.3)
+    noise = 0.3
     rng, replay = np.random.default_rng(5), np.random.default_rng(5)
     for _ in range(200):
         ch = draw_channel(rng, noise)
         h, zeta, g = replay_coefficients(replay)
         contrast = abs(h + zeta * g) ** 2 - abs(h) ** 2
-        assert ch.p1 - ch.p0 == pytest.approx(contrast * noise.sigma_s_sq, rel=1e-12, abs=1e-15)
+        assert ch.p1 - ch.p0 == pytest.approx(contrast, rel=1e-12, abs=1e-15)
         assert np.sign(ch.p1 - ch.p0) == np.sign(contrast)
 
 
@@ -156,19 +145,18 @@ def test_static_channel_powers_per_snr_reference():
     # h = 1 and zeta*g = j sqrt(0.5): |h|^2 = 1, |mu|^2 = 1.5, unit source power
     model = ChannelModel("static", rho=0.5)
     source = model.noise_for_snr(10.0, "source")
-    assert source == NoisePowers.from_snr_db(10.0)
+    assert source == pytest.approx(0.1, rel=1e-12)
     ch = model.static_state(source)
     assert ch == ChannelState.from_coefficients(1, np.sqrt(0.5), 1j, source)
     assert ch.p0 == pytest.approx(1.1, rel=1e-12)
     assert ch.p1 == pytest.approx(1.6, rel=1e-12)
     # mean received power over the two equiprobable states: (1 + 1.5) / 2 = 1.25
     mean = model.noise_for_snr(10.0, "mean_received")
-    assert mean.sigma_s_sq == 1.0
-    assert mean.sigma_w_sq == pytest.approx(0.125, rel=1e-12)
+    assert mean == pytest.approx(0.125, rel=1e-12)
     ch = model.static_state(mean)
     assert ch.p0 == pytest.approx(1.125, rel=1e-12)
     assert ch.p1 == pytest.approx(1.625, rel=1e-12)
-    assert model.noise_for_snr(5.0, "mean_received").sigma_w_sq == pytest.approx(
+    assert model.noise_for_snr(5.0, "mean_received") == pytest.approx(
         1.25 * 10 ** -0.5, rel=1e-12
     )
 
@@ -177,10 +165,11 @@ def test_rayleigh_noise_per_snr_reference():
     model = ChannelModel()
     assert model == ChannelModel("rayleigh", rho=1.0)
     # the source reference is the historical mapping, bit for bit
-    for snr in (-5.0, 0.0, 7.5, 15.0):
-        assert model.noise_for_snr(snr) == NoisePowers.from_snr_db(snr)
+    assert model.noise_for_snr(0.0) == 1.0
+    for snr in (-5.0, 0.0, 7.5, 10.0, 15.0):
+        assert model.noise_for_snr(snr) == 10.0 ** (-snr / 10.0)
     # E|h|^2 = 1 and E|mu|^2 = 2, so the mean received power is 1.5
-    assert model.noise_for_snr(10.0, "mean_received").sigma_w_sq == pytest.approx(
+    assert model.noise_for_snr(10.0, "mean_received") == pytest.approx(
         0.15, rel=1e-12
     )
 
@@ -195,7 +184,7 @@ def test_channel_model_validation():
     with pytest.raises(ValueError, match="unit-variance"):
         ChannelModel("rayleigh", rho=0.5)
     with pytest.raises(ValueError, match="no fixed state"):
-        ChannelModel().static_state(NoisePowers())
+        ChannelModel().static_state(1.0)
     with pytest.raises(ValueError, match="SNR reference"):
         ChannelModel().noise_for_snr(10.0, "backscatter")
     # 10^400 overflows a float: the error names the SNR, it is no OverflowError
@@ -203,5 +192,5 @@ def test_channel_model_validation():
         with pytest.raises(ValueError, match="SNR -4000 dB"):
             ChannelModel("static", rho=0.5).noise_for_snr(-4000, reference)
     # rho = 0 is a valid channel on its own; experiments reject it
-    zero = ChannelModel("static", rho=0.0).static_state(NoisePowers())
+    zero = ChannelModel("static", rho=0.0).static_state(1.0)
     assert zero.p0 == zero.p1 == 2.0
