@@ -118,8 +118,11 @@ def test_non_finite_snr_rejected(snr):
         mae_config(snr_grid_db=(5.0, snr))
 
 
-def test_pool_size_capped_by_tasks_and_cores(monkeypatch):
-    pools = []  # (processes, tasks) per pool started
+@pytest.fixture
+def inline_pools(monkeypatch):
+    """Replace the runner's process pool with one that runs tasks inline on a
+    4-core machine; returns the (processes, tasks) of each pool started."""
+    pools = []
 
     class SpyContext:
         """Stands in for the multiprocessing context: its Pool records the
@@ -141,6 +144,22 @@ def test_pool_size_capped_by_tasks_and_cores(monkeypatch):
 
     monkeypatch.setattr(harness.multiprocessing, "get_context", lambda method=None: SpyContext)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    return pools
+
+
+def test_resolve_threads(inline_pools):
+    config = mae_config(snr_grid_db=(5.0,), pilot_pairs=(8,), trials=6)
+    # an explicit count sets the workers; the default is one per core
+    run_experiment(replace(config, threads=3))
+    run_experiment(replace(config, threads=None))
+    assert inline_pools == [(3, 3), (4, 4)]
+    for explicit in (0, -3):
+        with pytest.raises(ValueError, match="threads"):
+            replace(config, threads=explicit)
+
+
+def test_pool_size_capped_by_tasks_and_cores(inline_pools):
+    pools = inline_pools
     config = mae_config(snr_grid_db=(5.0,), pilot_pairs=(8,), trials=3)
     serial = run_experiment(config)
     # 64 requested workers, 3 trials: 3 one-trial tasks need only 3 processes

@@ -15,6 +15,14 @@ from ambcsync import (
 )
 
 
+def test_noise_powers_from_snr_db():
+    # at unit source power the source-referenced noise power is 10^(-SNR/10),
+    # whatever the channel model
+    for model in (ChannelModel(), ChannelModel("static", rho=0.5)):
+        assert model.noise_for_snr(0.0) == 1.0
+        assert model.noise_for_snr(10.0) == pytest.approx(0.1)
+
+
 def test_noise_powers_validation():
     # the received law refuses a noise power that is negative or not finite
     for bad in (-0.5, math.nan, math.inf):
