@@ -9,7 +9,9 @@ estimates gives the profile log-likelihood
     -n0 L log(s1_hat) - (N_p - n0) L log(s2_hat)
 
 whose argmax locates the transition; the sign of the offset follows from
-which half of the window the transition falls in.
+which half of the window the transition falls in.  The likelihood reads the
+matrix only through its N_p column power sums, so the scan (``scan_sto``)
+takes those sums, for one matrix or for a batch of them.
 """
 
 from __future__ import annotations
@@ -92,30 +94,39 @@ def log_likelihood_reduced(y: np.ndarray, n0: int) -> float:
     return float(-n0 * rows * np.log(s1) - (cols - n0) * rows * np.log(s2))
 
 
-def estimate_sto(y: np.ndarray) -> StoEstimate:
-    """Scan n0 over {2..N_p-1}, pick the likelihood argmax, map to a signed offset.
+def scan_sto(col_sums: np.ndarray, rows: int) -> np.ndarray:
+    """Scan n0 over {2..N_p-1} for each pilot matrix given by its column power sums.
 
-    Ties resolve to the smallest candidate.  The offset mapping follows the
-    placement of the transition: n0_hat < N_p/2 reads as an advanced clock
+    ``col_sums`` has shape (..., N_p): entry j is the summed power of column
+    j over the matrix's ``rows`` rows, which is all the profile likelihood
+    reads.  Returns the signed offset estimates, shape (...).  Ties resolve
+    to the smallest candidate.  The offset mapping follows the placement of
+    the transition: n0_hat < N_p/2 reads as an advanced clock
     (tau_hat = -n0_hat), otherwise as a delayed one (tau_hat = N_p - n0_hat).
     """
-    y = _validate_matrix(y)
-    rows, cols = y.shape
-    power = y.real**2 + y.imag**2
-    col_sums = power.sum(axis=0)
-    prefix = np.cumsum(col_sums)
-    total = prefix[-1]
+    # columns first, so that each step of the scan is one vector operation
+    # across the batch; the result is transposed back
+    sums = np.asarray(col_sums, dtype=float).T
+    cols = sums.shape[0]
+    prefix = np.cumsum(sums, axis=0)
 
-    candidates = np.arange(2, cols)
-    head = prefix[candidates - 1]
+    candidates = np.arange(2, cols).reshape((-1,) + (1,) * (sums.ndim - 1))
+    head = prefix[1:-1]
     s1 = head / (rows * candidates)
-    s2 = (total - head) / (rows * (cols - candidates))
-    if np.any(s1 <= 0.0) or np.any(s2 <= 0.0):
-        bad = candidates[(s1 <= 0.0) | (s2 <= 0.0)][0]
-        raise DegenerateSegmentError(f"zero-power segment at n0={bad}")
+    s2 = (prefix[-1] - head) / (rows * (cols - candidates))
+    bad = (s1 <= 0.0) | (s2 <= 0.0)
+    if bad.any():
+        raise DegenerateSegmentError(f"zero-power segment at n0={2 + np.nonzero(bad)[0].min()}")
     loglik = -candidates * rows * np.log(s1) - (cols - candidates) * rows * np.log(s2)
 
-    best = int(np.argmax(loglik))  # first maximum: smallest-n0 tie-break
-    n0_hat = int(candidates[best])
-    tau_hat = -n0_hat if n0_hat < cols / 2 else cols - n0_hat
+    n0_hat = 2 + np.argmax(loglik, axis=0)  # first maximum: smallest-n0 tie-break
+    return np.where(n0_hat < cols / 2, -n0_hat, cols - n0_hat).T
+
+
+def estimate_sto(y: np.ndarray) -> StoEstimate:
+    """Estimate the offset from one pilot matrix: ``scan_sto`` of its column sums."""
+    y = _validate_matrix(y)
+    rows, cols = y.shape
+    tau_hat = int(scan_sto((y.real**2 + y.imag**2).sum(axis=0), rows))
+    n0_hat = -tau_hat if tau_hat < 0 else cols - tau_hat
     return StoEstimate(n0_hat=n0_hat, tau_hat=tau_hat)

@@ -3,20 +3,35 @@
 Three experiment kinds are supported: mean-absolute-error of the timing
 estimate versus SNR, the empirical distribution of the estimation error,
 and a paired bit-error-rate comparison (no compensation / estimated
-compensation / ideal synchronization).  All three run one trial pipeline:
-draw the offset and the channel, synthesize the frame, offset its clock and
-estimate the offset from the pilot; a frame with a payload is also detected
-three ways.
+compensation / ideal synchronization).
 
-Every trial owns an independent random substream derived from the root
-seed and the (cell, trial) counters, and all aggregation is over integer
-accumulators, so results are byte-identical no matter how trials are
-chunked across workers.
+A BER frame carries a payload and runs one trial at a time: draw the offset
+and the channel, synthesize the frame, offset its clock, estimate the offset
+from the pilot and detect the payload three ways.  It owns the random
+substream derived from the root seed and the (cell, trial) counters.
+
+An MAE or histogram frame has no payload, and its trial is only the pilot
+scan, which reads the pilot through its N_p column power sums
+(``scan_sto``).  Those sums are drawn directly.  Under one channel per
+frame, column j of the L "1" windows sums L independent |CN(0, p)|^2
+samples, i.e. p * Gamma(L, 1): p = p1 where the offset window still covers
+its "1" bit (0 <= tau + j < N_p), and p = p0 where it reads a neighbour.
+That is exact: every "1" window's neighbours are "0" bits (the pilot "0"
+before it, and the pilot "0" or the guard bit after it), and no two windows
+share a sample, because the windows lie 2 N_p apart and |tau| < N_p/2.
+Such trials run in fixed blocks of ``BLOCK``: each block owns the substream
+(seed, cell, block) and draws its offsets, channels and gamma sums at once
+for one batched scan.
+
+A task draws every block its trial range overlaps and keeps only its own
+trials, and all aggregation is over integer accumulators, so results are
+byte-identical no matter how trials are chunked across workers.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import operator
 import os
 from dataclasses import dataclass
 
@@ -26,12 +41,16 @@ from .detector import DetectorParams
 
 # perfbench/spans.py times detection by wrapping ``harness._detect_bits``
 from .detector import detect_frame as _detect_bits
-from .estimator import collect_windows, estimate_sto
+from .estimator import collect_windows, estimate_sto, scan_sto
 from .frame import FrameConfig, apply_sto, build_bit_sequence, synthesize_received
 from .signal_model import ChannelModel, ChannelState, draw_channel, trial_rng
 
 # every experiment frame has one wake-up bit ahead of the pilot
 PREAMBLE_BITS = 1
+
+# trials per pilot-only block; fixed, so that the blocks and their substreams
+# do not depend on the worker count
+BLOCK = 256
 
 # below this relative power gap the threshold formula is numerically
 # meaningless and the trial's channel is redrawn
@@ -40,6 +59,14 @@ NEAR_DEGENERATE_REL = 1e-9
 
 def _degenerate(ch: ChannelState) -> bool:
     return abs(ch.p1 - ch.p0) < NEAR_DEGENERATE_REL * max(ch.p0, ch.p1)
+
+
+def _as_int(name: str, value) -> int:
+    """``value`` as a Python int; Python and numpy integers pass, floats do not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -66,6 +93,9 @@ class ExperimentConfig:
             draw per frame.
         snr_reference: signal power the SNR refers to, ``source`` (the
             default) or ``mean_received``; see ``ChannelModel.noise_for_snr``.
+
+    Integer fields take Python or numpy integers and are stored as Python
+    ints; any other value (a float such as 2.5 or 8.0) raises ValueError.
     """
 
     kind: str
@@ -84,6 +114,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        # a float count, seed or offset would truncate or fail mid-run
+        for name in ("trials", "pilot_bit_samples", "data_symbols", "seed"):
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
+        if self.threads is not None:
+            object.__setattr__(self, "threads", _as_int("threads", self.threads))
+        for name in ("pilot_pairs", "symbol_samples", "tau_choices"):
+            object.__setattr__(self, name, tuple(_as_int(name, v) for v in getattr(self, name)))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
@@ -179,7 +216,7 @@ def _cells(config: ExperimentConfig) -> list[tuple[float, int, FrameConfig]]:
 
 
 def _run_task(args) -> np.ndarray:
-    """Run trials [start, stop) of one cell; every experiment kind runs this loop.
+    """Run trials [start, stop) of one cell; every experiment kind runs this task.
 
     Returns int64 counts: entry i < 2 N_p + 1 counts the signed estimation
     error i - N_p (|error| can never exceed N_p), and the last three entries
@@ -190,31 +227,55 @@ def _run_task(args) -> np.ndarray:
     snr, _, frame = _cells(config)[cell_index]
     noise = config.channel.noise_for_snr(snr, config.snr_reference)
     fixed = config.channel.static_state(noise) if config.channel.kind == "static" else None
+    counts = np.zeros(2 * config.pilot_bit_samples + 4, dtype=np.int64)
+    run = _frame_trials if frame.data_symbols else _pilot_blocks
+    run(config, cell_index, frame, noise, fixed, start, stop, counts)
+    return counts
+
+
+def _frame_trials(config, cell_index, frame, noise, fixed, start, stop, counts) -> None:
+    """Add trials [start, stop) of a frame with payload to ``counts``, one
+    synthesized frame per trial."""
     taus, k, span = config.tau_choices, frame.data_symbols, config.pilot_bit_samples
-    counts = np.zeros(2 * span + 4, dtype=np.int64)
-    if not k:
-        bits = build_bit_sequence(frame)
     for trial in range(start, stop):
         rng = trial_rng(config.seed, cell_index, trial)
         tau = taus[rng.integers(len(taus))]
         ch = draw_channel(rng, noise) if fixed is None else fixed
-        if k:
-            # the threshold needs distinct on/off powers; the config refuses
-            # a degenerate static channel, so only a fading draw is redrawn
-            while _degenerate(ch):
-                ch = draw_channel(rng, noise)
-            payload = rng.integers(0, 2, size=k)
-            bits = build_bit_sequence(frame, payload)
+        # the threshold needs distinct on/off powers; the config refuses
+        # a degenerate static channel, so only a fading draw is redrawn
+        while _degenerate(ch):
+            ch = draw_channel(rng, noise)
+        payload = rng.integers(0, 2, size=k)
+        bits = build_bit_sequence(frame, payload)
         w = synthesize_received(bits, frame, ch, rng)
         w_sto = apply_sto(w, tau)
         tau_hat = estimate_sto(collect_windows(w_sto)).tau_hat
         counts[tau - tau_hat + span] += 1
-        if k:
-            params = DetectorParams.from_powers(frame.data_symbol_samples, ch.p0, ch.p1)
-            for i, (wave, shift) in enumerate(((w, 0), (w_sto, 0), (w_sto, tau_hat))):
-                decided, _ = _detect_bits(wave, params, shift)
-                counts[2 * span + 1 + i] += int((decided != payload).sum())
-    return counts
+        params = DetectorParams.from_powers(frame.data_symbol_samples, ch.p0, ch.p1)
+        for i, (wave, shift) in enumerate(((w, 0), (w_sto, 0), (w_sto, tau_hat))):
+            decided, _ = _detect_bits(wave, params, shift)
+            counts[2 * span + 1 + i] += int((decided != payload).sum())
+
+
+def _pilot_blocks(config, cell_index, frame, noise, fixed, start, stop, counts) -> None:
+    """Add trials [start, stop) of a frame without payload to ``counts``, drawn
+    as pilot column sums a block at a time (see the module docstring)."""
+    taus = np.asarray(config.tau_choices)
+    pairs, span = frame.pilot_pairs, frame.pilot_bit_samples
+    columns = np.arange(span)
+    for block in range(start // BLOCK, (stop - 1) // BLOCK + 1):
+        first = block * BLOCK
+        n = min(BLOCK, config.trials - first)
+        rng = trial_rng(config.seed, cell_index, block)
+        tau = taus[rng.integers(len(taus), size=n)]
+        ch = draw_channel(rng, noise, n) if fixed is None else fixed
+        sums = rng.standard_gamma(pairs, size=(n, span))
+        shifted = tau[:, None] + columns
+        inside = (shifted >= 0) & (shifted < span)
+        sums *= np.where(inside, np.reshape(ch.p1, (-1, 1)), np.reshape(ch.p0, (-1, 1)))
+        keep = slice(max(start - first, 0), min(stop - first, n))
+        errors = tau[keep] - scan_sto(sums[keep], pairs) + span
+        counts[: 2 * span + 1] += np.bincount(errors, minlength=2 * span + 1)
 
 
 def _trial_ranges(trials: int, parts: int) -> list[tuple[int, int]]:

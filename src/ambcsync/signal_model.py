@@ -20,7 +20,8 @@ import numpy as np
 @dataclass(frozen=True)
 class ChannelState:
     """One coherence block's received per-sample powers under the "absorb"
-    (``p0``) and "reflect" (``p1``) hypotheses."""
+    (``p0``) and "reflect" (``p1``) hypotheses (arrays of n blocks' powers
+    from ``draw_channel(rng, noise, n)``)."""
 
     p0: float
     p1: float
@@ -37,17 +38,17 @@ class ChannelState:
         return cls(p0=abs(h) ** 2 + noise, p1=abs(h + zeta * g) ** 2 + noise)
 
 
-def draw_channel(rng: np.random.Generator, noise: float) -> ChannelState:
+def draw_channel(rng: np.random.Generator, noise: float, n: int | None = None) -> ChannelState:
     """Draw one coherence block: h, zeta, g i.i.d. unit-variance complex Gaussian.
 
     Args:
-        rng: seeded generator; six normal deviates are consumed.
+        rng: seeded generator; six normal deviates are consumed per block.
         noise: noise power sigma_w^2 (the source has unit power).
+        n: draw this many blocks at once; the state's p0 and p1 are then
+            arrays of shape (n,).
     """
-    z = rng.standard_normal(6) * np.sqrt(0.5)
-    h = complex(z[0], z[1])
-    zeta = complex(z[2], z[3])
-    g = complex(z[4], z[5])
+    z = rng.standard_normal(6 if n is None else (n, 6)) * np.sqrt(0.5)
+    h, zeta, g = z.view(np.complex128).T
     return ChannelState.from_coefficients(h, zeta, g, noise)
 
 

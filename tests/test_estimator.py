@@ -22,6 +22,7 @@ from ambcsync import (
     trial_rng,
     variance_estimates,
 )
+from ambcsync.estimator import scan_sto
 
 
 def pilot_waveform(pairs=4, np_samples=12, seed=3, snr_db=None, h=1.0, zeta=1.0, g=1.0):
@@ -147,6 +148,11 @@ def test_loglik_degenerate_segment_raises():
         log_likelihood_reduced(y, 3)
     with pytest.raises(DegenerateSegmentError):
         estimate_sto(y)
+    # one zero-power segment anywhere in a batch of column sums
+    sums = np.ones((3, 6))
+    sums[1, 4:] = 0.0
+    with pytest.raises(DegenerateSegmentError, match="n0=4"):
+        scan_sto(sums, 2)
 
 
 # -------------------------------------------------------------------- estimate_sto
@@ -165,6 +171,35 @@ def test_estimate_noiseless_splits():
 def test_estimate_flat_matrix_tie_break():
     est = estimate_sto(np.ones((3, 8), dtype=complex))
     assert (est.n0_hat, est.tau_hat) == (2, -2)
+    # every candidate ties on flat column sums: each scan takes n0 = 2
+    assert np.array_equal(scan_sto(np.full((4, 8), 3.0), 3), np.full(4, -2))
+
+
+def power_sums(y):
+    return (y.real**2 + y.imag**2).sum(axis=-2)
+
+
+def test_scan_core_matches_estimate_sto():
+    # the batched scan of column sums gives each matrix's estimate_sto, on
+    # Gaussian matrices and on segment-exact ones (criterion 5's pattern)
+    rng = np.random.default_rng(61)
+    for _ in range(200):
+        rows, cols = int(rng.integers(1, 41)), int(rng.integers(4, 65))
+        split = int(rng.integers(2, cols))
+        v1 = float(rng.uniform(0.5, 2.0))
+        ratio = float(rng.uniform(1.5, 20.0))
+        v2 = v1 * ratio if rng.random() < 0.5 else v1 / ratio
+        batch = np.stack(
+            [rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+             for _ in range(3)]
+            + [exact_two_segment(rng, rows, cols, split, v1, v2) for _ in range(3)]
+        )
+        expected = [estimate_sto(y).tau_hat for y in batch]
+        assert scan_sto(power_sums(batch), rows).tolist() == expected
+        assert scan_sto(power_sums(batch).reshape(2, 3, cols), rows).tolist() == [
+            expected[:3], expected[3:]
+        ]
+        assert int(scan_sto(power_sums(batch[-1]), rows)) == expected[-1]
 
 
 def full_log_likelihood(y, n0):

@@ -33,7 +33,8 @@ CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+# at 2 and 3 workers, task edges fall inside a pilot-only block of trials
+@pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_golden_csv_reproduced(name, threads):
     config = ExperimentConfig(**CONFIGS[name], threads=threads)

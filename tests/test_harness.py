@@ -4,6 +4,7 @@ import argparse
 import math
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -15,9 +16,17 @@ from ambcsync import (
     ChannelModel,
     ChannelState,
     ExperimentConfig,
+    FrameConfig,
     Waveform,
+    apply_sto,
+    build_bit_sequence,
+    collect_windows,
+    draw_channel,
+    estimate_sto,
     gen_cgn_block,
     run_experiment,
+    synthesize_received,
+    trial_rng,
     write_csv,
 )
 from ambcsync import cli, harness
@@ -61,6 +70,19 @@ def test_config_validation():
         with pytest.raises(ValueError, match="threads"):
             mae_config(threads=threads)
     mae_config(threads=None)
+    # integers only: a float count, seed or offset used to truncate or fail mid-run
+    for field, value in (
+        ("trials", 2.5), ("pilot_pairs", (8.5,)), ("tau_choices", (-5.0, 5)),
+        ("threads", 1.5), ("seed", 1.5), ("pilot_bit_samples", 16.0),
+    ):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            mae_config(**{field: value})
+    numpy_ints = mae_config(
+        trials=np.int64(20), pilot_pairs=(np.int32(8), 16), tau_choices=(np.int64(-5), 5),
+        seed=np.uint8(31), threads=np.int16(1),
+    )
+    assert numpy_ints == mae_config(trials=20)
+    assert type(numpy_ints.trials) is int and type(numpy_ints.pilot_pairs[0]) is int
     with pytest.raises(ValueError):
         ExperimentConfig(
             kind="error_hist", snr_grid_db=(5.0, 10.0), trials=10, pilot_pairs=(8,),
@@ -215,6 +237,18 @@ def test_static_channel_worker_independent():
         assert len(outputs) == 1, name
 
 
+@pytest.mark.parametrize(
+    "trials", [harness.BLOCK - 1, harness.BLOCK, harness.BLOCK + 1, 3 * harness.BLOCK + 7]
+)
+def test_pilot_blocks_worker_independent(trials):
+    # task edges fall inside blocks and on them; every trial counts once
+    config = mae_config(trials=trials, snr_grid_db=(10.0,))
+    outputs = {run_experiment(replace(config, threads=w)).to_csv() for w in (1, 2, 3, 5)}
+    assert len(outputs) == 1
+    counts = harness._execute(replace(config, threads=5))
+    assert [int(c[:-3].sum()) for c in counts] == [trials, trials]
+
+
 def test_single_trial_repeatable():
     config = mae_config(trials=1, snr_grid_db=(5.0,), pilot_pairs=(8,))
     assert run_experiment(config) == run_experiment(config)
@@ -234,11 +268,45 @@ def test_hist_worker_independent():
 STREAM_LAW_P_MIN = 1e-3
 
 
-def test_one_block_synthesis_keeps_the_two_block_law(monkeypatch):
-    # frames are drawn as sqrt(p_B) * z from one unit-power block; the law was
-    # first written (h + zeta*g*B)*s + w from a source and a noise block. Both
-    # paths must give one error distribution: chi-square homogeneity test on
-    # the error histograms of two independent 20,000-trial runs per channel
+def frame_path_errors(config, synthesize, seed):
+    """Error counts of ``config``'s one cell, one synthesized frame per trial:
+    trial_rng, draw_channel, synthesize, apply_sto, collect_windows, estimate_sto."""
+    (snr,), (pairs,), (n,) = config.snr_grid_db, config.pilot_pairs, config.symbol_samples
+    frame = FrameConfig(harness.PREAMBLE_BITS, pairs, config.pilot_bit_samples, 0, n)
+    bits = build_bit_sequence(frame)
+    noise = config.channel.noise_for_snr(snr, config.snr_reference)
+    taus = config.tau_choices
+    counts = Counter()
+    for trial in range(config.trials):
+        rng = trial_rng(seed, 0, trial)
+        tau = taus[rng.integers(len(taus))]
+        if config.channel.kind == "static":
+            ch = config.channel.static_state(noise)
+        else:
+            ch = draw_channel(rng, noise)
+        w = synthesize(bits, frame, ch, rng)
+        counts[tau - estimate_sto(collect_windows(apply_sto(w, tau))).tau_hat] += 1
+    return counts
+
+
+def homogeneity_p(*histograms):
+    """Chi-square homogeneity p-value of error-count histograms; errors seen
+    fewer than 10 times in all of them together share one bin."""
+    errors = sorted(set().union(*histograms))
+    table = np.array([[hist.get(e, 0) for e in errors] for hist in histograms])
+    sparse = table.sum(axis=0) < 10
+    if sparse.any():
+        table = np.column_stack([table[:, ~sparse], table[:, sparse].sum(axis=1)])
+    return stats.chi2_contingency(table)[1]
+
+
+def test_pilot_batch_keeps_the_frame_law(monkeypatch):
+    # error_hist trials draw the pilot's column power sums as scaled Gamma(L)
+    # variates. A synthesized frame is sqrt(p_B) * z from one unit-power
+    # block, and the law was first written (h + zeta*g*B)*s + w from a source
+    # and a noise block. All three must give one error distribution:
+    # chi-square homogeneity of the batch histogram against each frame path's,
+    # 20,000 independent trials each, on both channels
     from_coefficients = ChannelState.from_coefficients
 
     def keep_coefficients(h, zeta, g, noise):
@@ -257,22 +325,15 @@ def test_one_block_synthesis_keeps_the_two_block_law(monkeypatch):
             kind="error_hist", snr_grid_db=(10.0,), trials=20_000, pilot_pairs=(20,),
             pilot_bit_samples=30, tau_choices=(-10, 10), seed=1, threads=1, **channel,
         )
-        one_block = run_experiment(config).probabilities
+        pmf = run_experiment(config).probabilities
+        batch = {e: round(p * config.trials) for e, p in pmf.items()}
+        one_block = frame_path_errors(config, synthesize_received, seed=2)
         with monkeypatch.context() as m:
             m.setattr(ChannelState, "from_coefficients", keep_coefficients)
-            m.setattr(harness, "synthesize_received", two_block_law)
-            two_block = run_experiment(replace(config, seed=2)).probabilities
-        errors = sorted(set(one_block) | set(two_block))
-        table = np.array(
-            [[round(pmf.get(e, 0.0) * config.trials) for e in errors]
-             for pmf in (one_block, two_block)]
-        )
-        # errors seen fewer than 10 times in both runs together share one bin
-        sparse = table.sum(axis=0) < 10
-        if sparse.any():
-            table = np.column_stack([table[:, ~sparse], table[:, sparse].sum(axis=1)])
-        p_value = stats.chi2_contingency(table)[1]
-        assert p_value > STREAM_LAW_P_MIN, (channel, table.shape, p_value)
+            two_block = frame_path_errors(config, two_block_law, seed=3)
+        for name, frames in (("one block", one_block), ("two blocks", two_block)):
+            p_value = homogeneity_p(batch, frames)
+            assert p_value > STREAM_LAW_P_MIN, (channel, name, p_value)
 
 
 # -------------------------------------------------------------------- results
@@ -304,8 +365,8 @@ def test_hist_noise_free_floor():
 
 
 def test_hist_mass_sits_at_tau_minus_tau_hat(monkeypatch):
-    # an estimator that always answers 3: every error is tau - 3
-    monkeypatch.setattr(harness, "estimate_sto", lambda y: SimpleNamespace(tau_hat=3))
+    # a scan that always answers 3: every error is tau - 3
+    monkeypatch.setattr(harness, "scan_sto", lambda sums, rows: np.full(len(sums), 3))
     config = ExperimentConfig(
         kind="error_hist", snr_grid_db=(10.0,), trials=200, pilot_pairs=(8,),
         pilot_bit_samples=16, tau_choices=(-5, 5), seed=3, threads=1,

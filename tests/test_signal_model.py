@@ -71,6 +71,17 @@ def test_channel_state_derived_fields():
         assert ch.p0 >= 0.5 and ch.p1 >= 0.5
 
 
+def test_draw_channel_batch_matches_single_draws():
+    # n blocks at once read the same 6n normals as n single draws, in order
+    noise = 0.5
+    batch = draw_channel(np.random.default_rng(3), noise, 50)
+    replay = np.random.default_rng(3)
+    singles = [draw_channel(replay, noise) for _ in range(50)]
+    assert batch.p0.shape == batch.p1.shape == (50,)
+    assert batch.p0 == pytest.approx([ch.p0 for ch in singles], rel=1e-12)
+    assert batch.p1 == pytest.approx([ch.p1 for ch in singles], rel=1e-12)
+
+
 def test_gen_cgn_block_empty_and_degenerate():
     rng = np.random.default_rng(0)
     assert gen_cgn_block(0, rng).shape == (0,)
