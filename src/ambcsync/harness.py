@@ -5,10 +5,12 @@ estimate versus SNR, the empirical distribution of the estimation error,
 and a paired bit-error-rate comparison (no compensation / estimated
 compensation / ideal synchronization).
 
-A BER frame carries a payload and runs one trial at a time: draw the offset
-and the channel, synthesize the frame, offset its clock, estimate the offset
-from the pilot and detect the payload three ways.  It owns the random
-substream derived from the root seed and the (cell, trial) counters.
+Each task is one fixed block of ``BLOCK`` trials of one grid cell.  It owns
+the substream derived from the root seed and the (cell, block) counters,
+and draws from it the block's offsets, then its channels.  A BER frame
+carries a payload, and its block then runs one trial at a time on the same
+substream: redraw a degenerate channel, draw the payload, synthesize the
+frame, offset its clock, estimate the offset and detect the payload three ways.
 
 An MAE or histogram frame has no payload, and its trial is only the pilot
 scan, which reads the pilot through its N_p column power sums
@@ -19,18 +21,17 @@ its "1" bit (0 <= tau + j < N_p), and p = p0 where it reads a neighbour.
 That is exact: every "1" window's neighbours are "0" bits (the pilot "0"
 before it, and the pilot "0" or the guard bit after it), and no two windows
 share a sample, because the windows lie 2 N_p apart and |tau| < N_p/2.
-Such trials run in fixed blocks of ``BLOCK``: each block owns the substream
-(seed, cell, block) and draws its offsets, channels and gamma sums at once
-for one batched scan.
+The block draws all its gamma sums at once for one batched scan.
 
-A task draws every block its trial range overlaps and keeps only its own
-trials, and all aggregation is over integer accumulators, so results are
-byte-identical no matter how trials are chunked across workers.
+Blocks do not depend on the worker count, and all aggregation is over
+integer accumulators, so results are byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
+import numbers
 import operator
 import os
 from dataclasses import dataclass
@@ -48,8 +49,8 @@ from .signal_model import ChannelModel, ChannelState, draw_channel, trial_rng
 # every experiment frame has one wake-up bit ahead of the pilot
 PREAMBLE_BITS = 1
 
-# trials per pilot-only block; fixed, so that the blocks and their substreams
-# do not depend on the worker count
+# trials per task; fixed, so that the blocks and their substreams do not
+# depend on the worker count
 BLOCK = 256
 
 # below this relative power gap the threshold formula is numerically
@@ -67,6 +68,21 @@ def _as_int(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _as_axis(name: str, values, item_type: type) -> tuple:
+    """``values``, a non-empty sequence, as a tuple of Python ints or finite floats."""
+    try:
+        items = tuple(values)
+    except TypeError:
+        items = ()
+    if not items:
+        raise ValueError(f"{name} must be a non-empty sequence, got {values!r}")
+    if item_type is int:
+        return tuple(_as_int(name, v) for v in items)
+    if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in items):
+        raise ValueError(f"{name} must hold finite real numbers, got {values!r}")
+    return tuple(map(float, items))
 
 
 @dataclass(frozen=True)
@@ -96,6 +112,7 @@ class ExperimentConfig:
 
     Integer fields take Python or numpy integers and are stored as Python
     ints; any other value (a float such as 2.5 or 8.0) raises ValueError.
+    Grid axes take any sequence and are stored as tuples (of floats for SNRs).
     """
 
     kind: str
@@ -119,21 +136,15 @@ class ExperimentConfig:
             object.__setattr__(self, name, _as_int(name, getattr(self, name)))
         if self.threads is not None:
             object.__setattr__(self, "threads", _as_int("threads", self.threads))
-        for name in ("pilot_pairs", "symbol_samples", "tau_choices"):
-            object.__setattr__(self, name, tuple(_as_int(name, v) for v in getattr(self, name)))
+        for name in ("snr_grid_db", "pilot_pairs", "symbol_samples", "tau_choices"):
+            item_type = float if name == "snr_grid_db" else int
+            object.__setattr__(self, name, _as_axis(name, getattr(self, name), item_type))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.threads is not None and self.threads < 1:
             raise ValueError(f"threads must be a positive integer, got {self.threads}")
-        axes = (self.snr_grid_db, self.pilot_pairs, self.symbol_samples, self.tau_choices)
-        if not all(axes):
-            raise ValueError(
-                "snr_grid_db, pilot_pairs, symbol_samples and tau_choices must be non-empty"
-            )
-        if not all(np.isfinite(self.snr_grid_db)):
-            raise ValueError(f"snr_grid_db must be finite, got {self.snr_grid_db}")
         for name in _KINDS[self.kind][1]:
             if len(getattr(self, name)) != 1:
                 raise ValueError(f"{self.kind} takes one {name} value, got {getattr(self, name)}")
@@ -207,7 +218,7 @@ def _cells(config: ExperimentConfig) -> list[tuple[float, int, FrameConfig]]:
     def frame(pairs: int, k: int, n: int) -> FrameConfig:
         return FrameConfig(PREAMBLE_BITS, pairs, config.pilot_bit_samples, k, n)
 
-    snrs = [float(snr) for snr in config.snr_grid_db]
+    snrs = config.snr_grid_db
     if config.kind == "ber_compare":
         pairs, k = config.pilot_pairs[0], config.data_symbols
         return [(snr, n, frame(pairs, k, n)) for snr in snrs for n in config.symbol_samples]
@@ -216,85 +227,69 @@ def _cells(config: ExperimentConfig) -> list[tuple[float, int, FrameConfig]]:
 
 
 def _run_task(args) -> np.ndarray:
-    """Run trials [start, stop) of one cell; every experiment kind runs this task.
+    """Run one block of one cell; every experiment kind runs this task.
 
     Returns int64 counts: entry i < 2 N_p + 1 counts the signed estimation
     error i - N_p (|error| can never exceed N_p), and the last three entries
     are the payload bit errors under ideal sync, no compensation and the
     estimated compensation (zero for a frame without payload).
     """
-    config, cell_index, start, stop = args
+    config, cell_index, block = args
     snr, _, frame = _cells(config)[cell_index]
     noise = config.channel.noise_for_snr(snr, config.snr_reference)
-    fixed = config.channel.static_state(noise) if config.channel.kind == "static" else None
+    n = min(BLOCK, config.trials - block * BLOCK)
+    rng = trial_rng(config.seed, cell_index, block)
+    tau = np.asarray(config.tau_choices)[rng.integers(len(config.tau_choices), size=n)]
+    static = config.channel.kind == "static"
+    channels = config.channel.static_state(noise) if static else draw_channel(rng, noise, n)
     counts = np.zeros(2 * config.pilot_bit_samples + 4, dtype=np.int64)
-    run = _frame_trials if frame.data_symbols else _pilot_blocks
-    run(config, cell_index, frame, noise, fixed, start, stop, counts)
+    body = _frame_trials if frame.data_symbols else _pilot_sums
+    body(rng, frame, noise, tau, channels, counts)
     return counts
 
 
-def _frame_trials(config, cell_index, frame, noise, fixed, start, stop, counts) -> None:
-    """Add trials [start, stop) of a frame with payload to ``counts``, one
-    synthesized frame per trial."""
-    taus, k, span = config.tau_choices, frame.data_symbols, config.pilot_bit_samples
-    for trial in range(start, stop):
-        rng = trial_rng(config.seed, cell_index, trial)
-        tau = taus[rng.integers(len(taus))]
-        ch = draw_channel(rng, noise) if fixed is None else fixed
+def _frame_trials(rng, frame, noise, tau, channels, counts) -> None:
+    """Add a block of frames with payload to ``counts``, one synthesized
+    frame per trial, each drawing from ``rng`` in trial order."""
+    span = frame.pilot_bit_samples
+    p0, p1 = (np.broadcast_to(p, tau.shape) for p in (channels.p0, channels.p1))
+    for t, ch in zip(tau.tolist(), map(ChannelState, p0, p1)):
         # the threshold needs distinct on/off powers; the config refuses
         # a degenerate static channel, so only a fading draw is redrawn
         while _degenerate(ch):
             ch = draw_channel(rng, noise)
-        payload = rng.integers(0, 2, size=k)
+        payload = rng.integers(0, 2, size=frame.data_symbols)
         bits = build_bit_sequence(frame, payload)
         w = synthesize_received(bits, frame, ch, rng)
-        w_sto = apply_sto(w, tau)
+        w_sto = apply_sto(w, t)
         tau_hat = estimate_sto(collect_windows(w_sto)).tau_hat
-        counts[tau - tau_hat + span] += 1
+        counts[t - tau_hat + span] += 1
         params = DetectorParams.from_powers(frame.data_symbol_samples, ch.p0, ch.p1)
         for i, (wave, shift) in enumerate(((w, 0), (w_sto, 0), (w_sto, tau_hat))):
             decided, _ = _detect_bits(wave, params, shift)
             counts[2 * span + 1 + i] += int((decided != payload).sum())
 
 
-def _pilot_blocks(config, cell_index, frame, noise, fixed, start, stop, counts) -> None:
-    """Add trials [start, stop) of a frame without payload to ``counts``, drawn
-    as pilot column sums a block at a time (see the module docstring)."""
-    taus = np.asarray(config.tau_choices)
+def _pilot_sums(rng, frame, noise, tau, channels, counts) -> None:
+    """Add a block of frames without payload to ``counts``, drawn as pilot
+    column sums and scanned at once (see the module docstring)."""
     pairs, span = frame.pilot_pairs, frame.pilot_bit_samples
-    columns = np.arange(span)
-    for block in range(start // BLOCK, (stop - 1) // BLOCK + 1):
-        first = block * BLOCK
-        n = min(BLOCK, config.trials - first)
-        rng = trial_rng(config.seed, cell_index, block)
-        tau = taus[rng.integers(len(taus), size=n)]
-        ch = draw_channel(rng, noise, n) if fixed is None else fixed
-        sums = rng.standard_gamma(pairs, size=(n, span))
-        shifted = tau[:, None] + columns
-        inside = (shifted >= 0) & (shifted < span)
-        sums *= np.where(inside, np.reshape(ch.p1, (-1, 1)), np.reshape(ch.p0, (-1, 1)))
-        keep = slice(max(start - first, 0), min(stop - first, n))
-        errors = tau[keep] - scan_sto(sums[keep], pairs) + span
-        counts[: 2 * span + 1] += np.bincount(errors, minlength=2 * span + 1)
-
-
-def _trial_ranges(trials: int, parts: int) -> list[tuple[int, int]]:
-    parts = max(1, min(parts, trials))
-    edges = np.linspace(0, trials, parts + 1, dtype=np.int64)
-    return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
+    sums = rng.standard_gamma(pairs, size=(tau.size, span))
+    shifted = tau[:, None] + np.arange(span)
+    inside = (shifted >= 0) & (shifted < span)
+    p0, p1 = (np.reshape(p, (-1, 1)) for p in (channels.p0, channels.p1))
+    sums *= np.where(inside, p1, p0)
+    errors = tau - scan_sto(sums, pairs) + span
+    counts[: 2 * span + 1] += np.bincount(errors, minlength=2 * span + 1)
 
 
 def _execute(config: ExperimentConfig) -> list[np.ndarray]:
-    """Run all (cell, trial-range) tasks; returns each cell's summed counts."""
-    cells = _cells(config)
-    threads = config.threads or os.cpu_count() or 1
-    ranges = _trial_ranges(config.trials, threads)
-    tasks = [
-        (config, ci, a, b) for ci in range(len(cells)) for (a, b) in ranges
-    ]
-    # trials are chunked by the requested count, so outputs do not depend on
-    # how many processes run the chunks
-    processes = min(threads, len(tasks), os.cpu_count() or 1)
+    """Run all (cell, block) tasks; returns each cell's summed counts."""
+    cells = len(_cells(config))
+    blocks = -(-config.trials // BLOCK)
+    tasks = [(config, ci, block) for ci in range(cells) for block in range(blocks)]
+    cores = os.cpu_count() or 1
+    processes = min(config.threads or cores, len(tasks), cores)
     if processes == 1:
         outputs = [_run_task(t) for t in tasks]
     else:
@@ -302,8 +297,7 @@ def _execute(config: ExperimentConfig) -> list[np.ndarray]:
         ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
         with ctx.Pool(processes=processes) as pool:
             outputs = pool.map(_run_task, tasks, chunksize=1)
-    per_cell = len(ranges)
-    return [np.sum(outputs[i * per_cell : (i + 1) * per_cell], axis=0) for i in range(len(cells))]
+    return [np.sum(outputs[i * blocks : (i + 1) * blocks], axis=0) for i in range(cells)]
 
 
 def _mae(config: ExperimentConfig, counts: list[np.ndarray]) -> MaeResult:

@@ -33,7 +33,7 @@ CONFIGS = {
 }
 
 
-# at 2 and 3 workers, task edges fall inside a pilot-only block of trials
+# at 2 and 3 workers, the (cell, block) tasks run on more than one process
 @pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_golden_csv_reproduced(name, threads):

@@ -15,12 +15,14 @@ from scipy import stats
 from ambcsync import (
     ChannelModel,
     ChannelState,
+    DetectorParams,
     ExperimentConfig,
     FrameConfig,
     Waveform,
     apply_sto,
     build_bit_sequence,
     collect_windows,
+    detect_frame,
     draw_channel,
     estimate_sto,
     gen_cgn_block,
@@ -83,6 +85,18 @@ def test_config_validation():
     )
     assert numpy_ints == mae_config(trials=20)
     assert type(numpy_ints.trials) is int and type(numpy_ints.pilot_pairs[0]) is int
+    # a grid axis is a non-empty sequence of numbers; a bare number, a string
+    # or a non-number inside is refused with the field's name, not a TypeError
+    for field, value in (
+        ("snr_grid_db", 5.0), ("snr_grid_db", ("x",)), ("snr_grid_db", (None,)),
+        ("pilot_pairs", 30), ("tau_choices", None), ("symbol_samples", "50"),
+    ):
+        with pytest.raises(ValueError, match=field):
+            mae_config(**{field: value})
+    # any sequence is stored as a tuple, of floats for the SNR grid
+    listed = mae_config(snr_grid_db=[5, np.float32(10.0)], pilot_pairs=np.array([8, 16]))
+    assert listed == mae_config() and hash(listed) == hash(mae_config())
+    assert type(listed.snr_grid_db) is tuple and type(listed.snr_grid_db[0]) is float
     with pytest.raises(ValueError):
         ExperimentConfig(
             kind="error_hist", snr_grid_db=(5.0, 10.0), trials=10, pilot_pairs=(8,),
@@ -170,11 +184,12 @@ def inline_pools(monkeypatch):
 
 
 def test_resolve_threads(inline_pools):
-    config = mae_config(snr_grid_db=(5.0,), pilot_pairs=(8,), trials=6)
-    # an explicit count sets the workers; the default is one per core
+    # one cell of 5 blocks is 5 (cell, block) tasks
+    config = mae_config(snr_grid_db=(5.0,), pilot_pairs=(8,), trials=4 * harness.BLOCK + 1)
+    # an explicit count caps the processes; the default is one per core
     run_experiment(replace(config, threads=3))
     run_experiment(replace(config, threads=None))
-    assert inline_pools == [(3, 3), (4, 4)]
+    assert inline_pools == [(3, 5), (4, 5)]
     for explicit in (0, -3):
         with pytest.raises(ValueError, match="threads"):
             replace(config, threads=explicit)
@@ -182,16 +197,19 @@ def test_resolve_threads(inline_pools):
 
 def test_pool_size_capped_by_tasks_and_cores(inline_pools):
     pools = inline_pools
-    config = mae_config(snr_grid_db=(5.0,), pilot_pairs=(8,), trials=3)
+    config = mae_config(snr_grid_db=(5.0,), pilot_pairs=(8,), trials=harness.BLOCK)
     serial = run_experiment(config)
-    # 64 requested workers, 3 trials: 3 one-trial tasks need only 3 processes
+    # one block is one task, which starts no pool whatever the requested count
     assert run_experiment(replace(config, threads=64)) == serial
-    # 64 requested workers, 100 trials: still 64 tasks, but one process per core
-    config = replace(config, trials=100)
+    assert pools == []
+    # 64 requested workers, 3 blocks: 3 tasks need only 3 processes
+    config = replace(config, trials=3 * harness.BLOCK)
     assert run_experiment(replace(config, threads=64)) == run_experiment(config)
-    # no requested count: one task and one process per core
+    # 10 blocks: 10 tasks, but one process per core, requested or not
+    config = replace(config, trials=10 * harness.BLOCK)
+    assert run_experiment(replace(config, threads=64)) == run_experiment(config)
     assert run_experiment(replace(config, threads=None)) == run_experiment(config)
-    assert pools == [(3, 3), (4, 64), (4, 4)]
+    assert pools == [(3, 3), (4, 10), (4, 10)]
 
 
 # ------------------------------------------------------------------ determinism
@@ -241,12 +259,21 @@ def test_static_channel_worker_independent():
     "trials", [harness.BLOCK - 1, harness.BLOCK, harness.BLOCK + 1, 3 * harness.BLOCK + 7]
 )
 def test_pilot_blocks_worker_independent(trials):
-    # task edges fall inside blocks and on them; every trial counts once
-    config = mae_config(trials=trials, snr_grid_db=(10.0,))
-    outputs = {run_experiment(replace(config, threads=w)).to_csv() for w in (1, 2, 3, 5)}
-    assert len(outputs) == 1
-    counts = harness._execute(replace(config, threads=5))
-    assert [int(c[:-3].sum()) for c in counts] == [trials, trials]
+    # every kind runs one task per (cell, block), a partial block last; any
+    # number of processes gives the same output, and every trial counts once
+    configs = (
+        mae_config(trials=trials, snr_grid_db=(10.0,)),
+        mae_config(kind="error_hist", trials=trials, snr_grid_db=(10.0,), pilot_pairs=(8,)),
+        mae_config(
+            kind="ber_compare", trials=trials, snr_grid_db=(10.0,), pilot_pairs=(8,),
+            symbol_samples=(12, 20), data_symbols=5,
+        ),
+    )
+    for config in configs:
+        outputs = {run_experiment(replace(config, threads=w)).to_csv() for w in (1, 2, 3, 5)}
+        assert len(outputs) == 1, config.kind
+        counts = harness._execute(replace(config, threads=5))
+        assert [int(c[:-3].sum()) for c in counts] == [trials] * len(counts), config.kind
 
 
 def test_single_trial_repeatable():
@@ -264,8 +291,10 @@ def test_hist_worker_independent():
     assert a == b
 
 
-# significance of the two-path law test below, fixed before its first run
+# bounds of the stream-law tests below, fixed before their first runs:
+# chi-square significance, and the largest two-sample z of a BER column
 STREAM_LAW_P_MIN = 1e-3
+STREAM_LAW_Z_MAX = 4.0
 
 
 def frame_path_errors(config, synthesize, seed):
@@ -334,6 +363,61 @@ def test_pilot_batch_keeps_the_frame_law(monkeypatch):
         for name, frames in (("one block", one_block), ("two blocks", two_block)):
             p_value = homogeneity_p(batch, frames)
             assert p_value > STREAM_LAW_P_MIN, (channel, name, p_value)
+
+
+def per_trial_ber_frames(config, seed):
+    """The earlier BER layout, on ``config``'s one cell: every trial draws
+    from its own (seed, cell, trial) substream. Returns the error histogram
+    and each frame's bit errors under ideal sync, no and estimated compensation."""
+    (snr,), (pairs,), (n,) = config.snr_grid_db, config.pilot_pairs, config.symbol_samples
+    frame = FrameConfig(harness.PREAMBLE_BITS, pairs, config.pilot_bit_samples, config.data_symbols, n)
+    noise = config.channel.noise_for_snr(snr, config.snr_reference)
+    taus = config.tau_choices
+    hist, errors = Counter(), np.zeros((config.trials, 3), dtype=np.int64)
+    for trial in range(config.trials):
+        rng = trial_rng(seed, 0, trial)
+        tau = taus[rng.integers(len(taus))]
+        if config.channel.kind == "static":
+            ch = config.channel.static_state(noise)
+        else:
+            ch = draw_channel(rng, noise)
+        while harness._degenerate(ch):
+            ch = draw_channel(rng, noise)
+        payload = rng.integers(0, 2, size=frame.data_symbols)
+        w = synthesize_received(build_bit_sequence(frame, payload), frame, ch, rng)
+        w_sto = apply_sto(w, tau)
+        tau_hat = estimate_sto(collect_windows(w_sto)).tau_hat
+        hist[tau - tau_hat] += 1
+        params = DetectorParams.from_powers(n, ch.p0, ch.p1)
+        for i, (wave, shift) in enumerate(((w, 0), (w_sto, 0), (w_sto, tau_hat))):
+            errors[trial, i] = (detect_frame(wave, params, shift)[0] != payload).sum()
+    return hist, errors
+
+
+def test_ber_block_stream_keeps_the_frame_law():
+    # a BER block draws its offsets and channels first, then each frame's
+    # payload and samples, all from the block's one substream; the earlier
+    # layout gave each trial its own. Both must give one law: chi-square
+    # homogeneity of the error histograms and a two-sample z-test of each BER
+    # column (the per-trial loop's per-frame variance), 10,000 trials each,
+    # on both channels
+    static = dict(channel=ChannelModel("static", rho=0.5), snr_reference="mean_received")
+    for channel in ({}, static):
+        config = ExperimentConfig(
+            kind="ber_compare", snr_grid_db=(10.0,), trials=10_000, pilot_pairs=(8,),
+            pilot_bit_samples=16, symbol_samples=(12,), data_symbols=5,
+            tau_choices=(-5, -4, 4, 5), seed=1, threads=1, **channel,
+        )
+        (counts,) = harness._execute(config)
+        span = config.pilot_bit_samples
+        blocks = {e - span: int(c) for e, c in enumerate(counts[: 2 * span + 1]) if c}
+        hist, errors = per_trial_ber_frames(config, seed=2)
+        p_value = homogeneity_p(blocks, hist)
+        assert p_value > STREAM_LAW_P_MIN, (channel, p_value)
+        trials = config.trials
+        se = np.sqrt(2 * errors.var(axis=0, ddof=1) / trials)
+        z = (counts[-3:] / trials - errors.mean(axis=0)) / se
+        assert np.all(np.abs(z) <= STREAM_LAW_Z_MAX), (channel, z)
 
 
 # -------------------------------------------------------------------- results
