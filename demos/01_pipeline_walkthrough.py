@@ -18,9 +18,7 @@ from ambcsync import (
     collect_windows,
     detect_frame,
     estimate_sto,
-    log_likelihood_reduced,
     synthesize_received,
-    variance_estimates,
 )
 
 SEED = 7
@@ -56,8 +54,8 @@ estimate = estimate_sto(pilot_matrix)
 print(f"\npilot matrix: {pilot_matrix.shape[0]} x {pilot_matrix.shape[1]}")
 print("likelihood scan around the peak:")
 for n0 in range(max(2, estimate.n0_hat - 3), min(cfg.pilot_bit_samples, estimate.n0_hat + 4)):
-    s1, s2 = variance_estimates(pilot_matrix, n0)
-    loglik = log_likelihood_reduced(pilot_matrix, n0)
+    # the scan's profile arrays are indexed by n0 - 2
+    s1, s2, loglik = (v[n0 - 2] for v in (estimate.s1, estimate.s2, estimate.loglik))
     mark = " <-- argmax" if n0 == estimate.n0_hat else ""
     print(f"  n0={n0:2d}  s1^2={s1:7.3f}  s2^2={s2:7.3f}  loglik={loglik:10.2f}{mark}")
 print(f"estimate: transition at n0={estimate.n0_hat} -> tau_hat={estimate.tau_hat}")

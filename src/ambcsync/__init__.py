@@ -18,8 +18,6 @@ from .estimator import (
     DegenerateSegmentError,
     collect_windows,
     estimate_sto,
-    log_likelihood_reduced,
-    variance_estimates,
 )
 from .frame import (
     FrameConfig,
@@ -38,7 +36,6 @@ from .signal_model import (
     ChannelModel,
     ChannelState,
     draw_channel,
-    gen_cgn_block,
     trial_rng,
 )
 
@@ -61,11 +58,8 @@ __all__ = [
     "draw_channel",
     "ed_threshold",
     "estimate_sto",
-    "gen_cgn_block",
-    "log_likelihood_reduced",
     "run_experiment",
     "synthesize_received",
     "trial_rng",
-    "variance_estimates",
     "write_csv",
 ]

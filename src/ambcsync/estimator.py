@@ -8,10 +8,11 @@ estimates gives the profile log-likelihood
 
     -n0 L log(s1_hat) - (N_p - n0) L log(s2_hat)
 
-whose argmax locates the transition; the sign of the offset follows from
-which half of the window the transition falls in.  The likelihood reads the
-matrix only through its N_p column power sums, so the scan (``scan_sto``)
-takes those sums, for one matrix or for a batch of them.
+whose argmax locates the transition (Hinkley's change-point profile,
+Biometrika 1970); the sign of the offset follows from which half of the
+window the transition falls in.  The likelihood reads the matrix only
+through its N_p column power sums, so the scan (``scan_sto``) takes those
+sums, for one matrix or for a batch of them.
 """
 
 from __future__ import annotations
@@ -29,22 +30,15 @@ class DegenerateSegmentError(ValueError):
 
 @dataclass(frozen=True)
 class StoEstimate:
-    """Estimated transition column and its mapped signed offset."""
+    """Estimated transition column, its mapped signed offset, and the scan's
+    profile: ``s1``, ``s2`` and ``loglik`` hold the two segment variances and
+    the log-likelihood at each candidate n0 = 2..N_p-1, indexed by n0 - 2."""
 
     n0_hat: int
     tau_hat: int
-
-
-def _validate_matrix(y: np.ndarray) -> np.ndarray:
-    y = np.asarray(y)
-    if y.ndim != 2:
-        raise ValueError(f"pilot matrix must be 2-D, got shape {y.shape}")
-    rows, cols = y.shape
-    if rows < 1 or cols < 4:
-        raise ValueError(f"pilot matrix must be at least 1 x 4, got {rows} x {cols}")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("pilot matrix contains non-finite entries")
-    return y
+    s1: np.ndarray
+    s2: np.ndarray
+    loglik: np.ndarray
 
 
 def collect_windows(w: Waveform) -> np.ndarray:
@@ -67,45 +61,16 @@ def collect_windows(w: Waveform) -> np.ndarray:
     return region.reshape(cfg.pilot_pairs, 2 * n_p)[:, n_p:]
 
 
-def variance_estimates(y: np.ndarray, n0: int) -> tuple[float, float]:
-    """ML variance estimates for the two segments split after column n0.
+def _profile(col_sums: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Plug-in segment variances s1, s2 and the profile log-likelihood at
+    n0 = 2..N_p-1 for column power sums of shape (..., N_p).
 
-    Segment 1 is columns [1..n0], segment 2 is [n0+1..N_p] (1-indexed).
-    """
-    y = _validate_matrix(y)
-    rows, cols = y.shape
-    if not 1 <= n0 <= cols - 1:
-        raise ValueError(f"n0 must be in [1, {cols - 1}], got {n0}")
-    power = y.real**2 + y.imag**2
-    s1 = float(power[:, :n0].sum()) / (rows * n0)
-    s2 = float(power[:, n0:].sum()) / (rows * (cols - n0))
-    return s1, s2
-
-
-def log_likelihood_reduced(y: np.ndarray, n0: int) -> float:
-    """Profile log-likelihood at candidate n0 (constant terms dropped)."""
-    y = _validate_matrix(y)
-    rows, cols = y.shape
-    s1, s2 = variance_estimates(y, n0)
-    if s1 <= 0.0 or s2 <= 0.0:
-        raise DegenerateSegmentError(
-            f"zero-power segment at n0={n0} (s1={s1}, s2={s2})"
-        )
-    return float(-n0 * rows * np.log(s1) - (cols - n0) * rows * np.log(s2))
-
-
-def scan_sto(col_sums: np.ndarray, rows: int) -> np.ndarray:
-    """Scan n0 over {2..N_p-1} for each pilot matrix given by its column power sums.
-
-    ``col_sums`` has shape (..., N_p): entry j is the summed power of column
-    j over the matrix's ``rows`` rows, which is all the profile likelihood
-    reads.  Returns the signed offset estimates, shape (...).  Ties resolve
-    to the smallest candidate.  The offset mapping follows the placement of
-    the transition: n0_hat < N_p/2 reads as an advanced clock
-    (tau_hat = -n0_hat), otherwise as a delayed one (tau_hat = N_p - n0_hat).
+    Segment 1 is columns [1..n0], segment 2 is [n0+1..N_p] (1-indexed).  Each
+    result is the transpose of the batch layout: the candidate axis first,
+    then the batch axes in reverse order.
     """
     # columns first, so that each step of the scan is one vector operation
-    # across the batch; the result is transposed back
+    # across the batch
     sums = np.asarray(col_sums, dtype=float).T
     cols = sums.shape[0]
     prefix = np.cumsum(sums, axis=0)
@@ -118,15 +83,38 @@ def scan_sto(col_sums: np.ndarray, rows: int) -> np.ndarray:
     if bad.any():
         raise DegenerateSegmentError(f"zero-power segment at n0={2 + np.nonzero(bad)[0].min()}")
     loglik = -candidates * rows * np.log(s1) - (cols - candidates) * rows * np.log(s2)
+    return s1, s2, loglik
 
+
+def _offset(n0_hat, cols: int):
+    """n0_hat < N_p/2 reads as an advanced clock (tau_hat = -n0_hat),
+    otherwise as a delayed one (tau_hat = N_p - n0_hat)."""
+    return np.where(n0_hat < cols / 2, -n0_hat, cols - n0_hat)
+
+
+def scan_sto(col_sums: np.ndarray, rows: int) -> np.ndarray:
+    """Scan n0 over {2..N_p-1} for each pilot matrix given by its column power sums.
+
+    ``col_sums`` has shape (..., N_p): entry j is the summed power of column
+    j over the matrix's ``rows`` rows, which is all the profile likelihood
+    reads.  Returns the signed offset estimates, shape (...).  Ties resolve
+    to the smallest candidate.
+    """
+    _, _, loglik = _profile(col_sums, rows)
     n0_hat = 2 + np.argmax(loglik, axis=0)  # first maximum: smallest-n0 tie-break
-    return np.where(n0_hat < cols / 2, -n0_hat, cols - n0_hat).T
+    return _offset(n0_hat, np.shape(col_sums)[-1]).T
 
 
 def estimate_sto(y: np.ndarray) -> StoEstimate:
-    """Estimate the offset from one pilot matrix: ``scan_sto`` of its column sums."""
-    y = _validate_matrix(y)
+    """Estimate the offset from one pilot matrix, the scan of its column sums."""
+    y = np.asarray(y)
+    if y.ndim != 2:
+        raise ValueError(f"pilot matrix must be 2-D, got shape {y.shape}")
     rows, cols = y.shape
-    tau_hat = int(scan_sto((y.real**2 + y.imag**2).sum(axis=0), rows))
-    n0_hat = -tau_hat if tau_hat < 0 else cols - tau_hat
-    return StoEstimate(n0_hat=n0_hat, tau_hat=tau_hat)
+    if rows < 1 or cols < 4:
+        raise ValueError(f"pilot matrix must be at least 1 x 4, got {rows} x {cols}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("pilot matrix contains non-finite entries")
+    s1, s2, loglik = _profile((y.real**2 + y.imag**2).sum(axis=0), rows)
+    n0_hat = 2 + int(np.argmax(loglik))
+    return StoEstimate(n0_hat, int(_offset(n0_hat, cols)), s1, s2, loglik)

@@ -40,7 +40,11 @@ import numpy as np
 
 from .detector import DetectorParams
 
-# perfbench/spans.py times detection by wrapping ``harness._detect_bits``
+# perfbench/spans.py times the layers by wrapping these module attributes:
+# trial_rng, draw_channel, build_bit_sequence, synthesize_received, apply_sto,
+# collect_windows, estimate_sto (whose .tau_hat it reads), _detect_bits and
+# _run_task, plus frame.gen_cgn_block and DetectorParams.from_powers.
+# Removing or renaming any of them fails the traced benchmark.
 from .detector import detect_frame as _detect_bits
 from .estimator import collect_windows, estimate_sto, scan_sto
 from .frame import FrameConfig, apply_sto, build_bit_sequence, synthesize_received
@@ -229,14 +233,15 @@ def _cells(config: ExperimentConfig) -> list[tuple[float, int, FrameConfig]]:
 def _run_task(args) -> np.ndarray:
     """Run one block of one cell; every experiment kind runs this task.
 
+    ``args`` is (config, cell index, frame, noise power, block); ``_execute``
+    builds each cell's frame and noise power once per run.
+
     Returns int64 counts: entry i < 2 N_p + 1 counts the signed estimation
     error i - N_p (|error| can never exceed N_p), and the last three entries
     are the payload bit errors under ideal sync, no compensation and the
     estimated compensation (zero for a frame without payload).
     """
-    config, cell_index, block = args
-    snr, _, frame = _cells(config)[cell_index]
-    noise = config.channel.noise_for_snr(snr, config.snr_reference)
+    config, cell_index, frame, noise, block = args
     n = min(BLOCK, config.trials - block * BLOCK)
     rng = trial_rng(config.seed, cell_index, block)
     tau = np.asarray(config.tau_choices)[rng.integers(len(config.tau_choices), size=n)]
@@ -285,9 +290,12 @@ def _pilot_sums(rng, frame, noise, tau, channels, counts) -> None:
 
 def _execute(config: ExperimentConfig) -> list[np.ndarray]:
     """Run all (cell, block) tasks; returns each cell's summed counts."""
-    cells = len(_cells(config))
+    cells = [
+        (ci, frame, config.channel.noise_for_snr(snr, config.snr_reference))
+        for ci, (snr, _, frame) in enumerate(_cells(config))
+    ]
     blocks = -(-config.trials // BLOCK)
-    tasks = [(config, ci, block) for ci in range(cells) for block in range(blocks)]
+    tasks = [(config, *cell, block) for cell in cells for block in range(blocks)]
     cores = os.cpu_count() or 1
     processes = min(config.threads or cores, len(tasks), cores)
     if processes == 1:
@@ -297,7 +305,7 @@ def _execute(config: ExperimentConfig) -> list[np.ndarray]:
         ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
         with ctx.Pool(processes=processes) as pool:
             outputs = pool.map(_run_task, tasks, chunksize=1)
-    return [np.sum(outputs[i * blocks : (i + 1) * blocks], axis=0) for i in range(cells)]
+    return [np.sum(outputs[i * blocks : (i + 1) * blocks], axis=0) for i in range(len(cells))]
 
 
 def _mae(config: ExperimentConfig, counts: list[np.ndarray]) -> MaeResult:

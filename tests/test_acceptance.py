@@ -17,8 +17,8 @@ from ambcsync import (
     ed_threshold,
     estimate_sto,
     run_experiment,
-    variance_estimates,
 )
+from oracles import variance_estimates
 
 mp.mp.dps = 50
 

@@ -16,13 +16,12 @@ from ambcsync import (
     collect_windows,
     draw_channel,
     estimate_sto,
-    gen_cgn_block,
-    log_likelihood_reduced,
     synthesize_received,
     trial_rng,
-    variance_estimates,
 )
 from ambcsync.estimator import scan_sto
+from ambcsync.signal_model import gen_cgn_block
+from oracles import log_likelihood_reduced, variance_estimates
 
 
 def pilot_waveform(pairs=4, np_samples=12, seed=3, snr_db=None, h=1.0, zeta=1.0, g=1.0):
@@ -78,7 +77,7 @@ def test_collect_windows_out_of_range():
         collect_windows(truncated)
 
 
-# ------------------------------------------------------------ variance_estimates
+# ------------------------------------------- scalar oracles (tests/oracles.py)
 
 
 def test_variance_estimates_hand_cases():
@@ -104,9 +103,6 @@ def test_variance_estimates_rejects_nonfinite():
     y[1, 2] = np.nan
     with pytest.raises(ValueError):
         variance_estimates(y, 2)
-
-
-# --------------------------------------------------------- log_likelihood_reduced
 
 
 def test_loglik_flat_for_unit_magnitude():
@@ -156,6 +152,44 @@ def test_loglik_degenerate_segment_raises():
 
 
 # -------------------------------------------------------------------- estimate_sto
+
+
+def test_estimate_rejects_bad_matrices():
+    with pytest.raises(ValueError, match="2-D"):
+        estimate_sto(np.ones(8, dtype=complex))
+    with pytest.raises(ValueError, match="at least 1 x 4"):
+        estimate_sto(np.ones((5, 3), dtype=complex))
+    with pytest.raises(ValueError, match="at least 1 x 4"):
+        estimate_sto(np.ones((0, 8), dtype=complex))
+    y = np.ones((2, 5), dtype=complex)
+    y[1, 2] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        estimate_sto(y)
+
+
+def test_estimate_profile_matches_oracles():
+    # the scan's prefix-sum profile equals the scalar oracles, computed from
+    # the matrix one candidate at a time, on Gaussian and segment-exact matrices
+    rng = np.random.default_rng(62)
+    for _ in range(300):
+        rows, cols = int(rng.integers(1, 41)), int(rng.integers(4, 65))
+        split = int(rng.integers(2, cols))
+        v1 = float(rng.uniform(0.5, 2.0))
+        v2 = v1 * float(rng.uniform(1.5, 20.0)) ** (1 if rng.random() < 0.5 else -1)
+        gaussian = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        for y in (gaussian, exact_two_segment(rng, rows, cols, split, v1, v2)):
+            est = estimate_sto(y)
+            assert est.s1.shape == est.s2.shape == est.loglik.shape == (cols - 2,)
+            for n0 in range(2, cols):
+                s1, s2 = variance_estimates(y, n0)
+                assert est.s1[n0 - 2] == pytest.approx(s1, rel=1e-12)
+                assert est.s2[n0 - 2] == pytest.approx(s2, rel=1e-12)
+                # the log-likelihood weighs log(s) by up to rows * cols, and its
+                # two terms can cancel to near zero: an ulp of s shows there
+                loglik = log_likelihood_reduced(y, n0)
+                tol = dict(rel=1e-12, abs=1e-14 * rows * cols)
+                assert est.loglik[n0 - 2] == pytest.approx(loglik, **tol)
+            assert est.n0_hat == 2 + int(np.argmax(est.loglik))
 
 
 def test_estimate_noiseless_splits():

@@ -9,10 +9,10 @@ from ambcsync import (
     FrameConfig,
     apply_sto,
     build_bit_sequence,
-    gen_cgn_block,
     synthesize_received,
     trial_rng,
 )
+from ambcsync.signal_model import gen_cgn_block
 
 
 def cfg_for(preamble=1, pairs=2, np_samples=8, k=0, n=8):

@@ -25,7 +25,6 @@ from ambcsync import (
     detect_frame,
     draw_channel,
     estimate_sto,
-    gen_cgn_block,
     run_experiment,
     synthesize_received,
     trial_rng,
@@ -33,6 +32,7 @@ from ambcsync import (
 )
 from ambcsync import cli, harness
 from ambcsync.cli import cli_main
+from ambcsync.signal_model import gen_cgn_block
 
 
 def mae_config(**kw):

@@ -10,9 +10,9 @@ from ambcsync import (
     ChannelModel,
     ChannelState,
     draw_channel,
-    gen_cgn_block,
     trial_rng,
 )
+from ambcsync.signal_model import gen_cgn_block
 
 
 def test_noise_powers_from_snr_db():
