@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Paired bit-error-rate comparison: broken clock vs compensated vs ideal.
 
-Each trial synthesizes one frame and detects it three ways from the same
-samples, so the three curves differ only in receiver processing.
+Each trial draws one frame's window energies and decides its payload three
+ways from the same samples, so the three curves differ only in receiver
+processing.
 """
 
 from ambcsync import ExperimentConfig, run_experiment

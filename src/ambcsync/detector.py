@@ -9,7 +9,6 @@ receive *less* power than the absorbing one (p0 > p1) the comparison flips.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,26 +34,39 @@ class DetectorParams:
         return cls(p0=p0, p1=p1, threshold=ed_threshold(n_samples, p0, p1))
 
 
-def ed_threshold(n_samples: int, p0: float, p1: float) -> float:
+def ed_threshold(n_samples: int, p0, p1):
     """Closed-form energy-detection threshold for window size N and powers p0, p1.
 
         T = (N p0 p1 / (p0 + p1)) * [1 + sqrt(1 + 2 (p0 + p1) ln(p1/p0) / (N (p1 - p0)))]
 
-    The log-over-difference factor is evaluated via log1p to stay accurate
-    for power ratios near 1.
+    ``p0`` and ``p1`` are floats, or arrays that broadcast together; the
+    result is a float or an array of their broadcast shape.  The
+    log-over-difference factor is evaluated via log1p to stay accurate for
+    power ratios near 1.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if p0 <= 0.0 or p1 <= 0.0:
-        raise ValueError(f"powers must be positive, got p0={p0}, p1={p1}")
-    if p0 == p1:
+    p0, p1 = np.broadcast_arrays(np.asarray(p0, dtype=float), np.asarray(p1, dtype=float))
+    bad = (p0 <= 0.0) | (p1 <= 0.0)
+    if bad.any():
+        i = np.argmax(bad)
+        raise ValueError(f"powers must be positive, got p0={p0.flat[i]}, p1={p1.flat[i]}")
+    if (p0 == p1).any():
+        i = np.argmax(p0 == p1)
         raise DegenerateChannelError(
-            f"p0 == p1 == {p0}: energy detection threshold undefined"
+            f"p0 == p1 == {p0.flat[i]}: energy detection threshold undefined"
         )
     # ln(p1/p0)/(p1-p0), cancellation-free form
-    log_over_diff = math.log1p((p1 - p0) / p0) / (p1 - p0)
+    log_over_diff = np.log1p((p1 - p0) / p0) / (p1 - p0)
     radicand = 1.0 + 2.0 * (p0 + p1) * log_over_diff / n_samples
-    return (n_samples * p0 * p1 / (p0 + p1)) * (1.0 + math.sqrt(radicand))
+    threshold = (n_samples * p0 * p1 / (p0 + p1)) * (1.0 + np.sqrt(radicand))
+    return float(threshold) if threshold.ndim == 0 else threshold
+
+
+def _decide(energies, threshold, p0, p1) -> np.ndarray:
+    """Decided int64 bits: 1 where the energy reaches the threshold, the
+    orientation flipped where p1 < p0; all arguments broadcast together."""
+    return ((energies >= threshold) != (p1 < p0)).astype(np.int64)
 
 
 def detect_frame(
@@ -72,6 +84,4 @@ def detect_frame(
     k = w.config.data_symbols
     region = wc.samples[wc.data_start : wc.data_start + k * n]
     energies = (region.real**2 + region.imag**2).reshape(k, n).sum(axis=1)
-    above = energies >= params.threshold
-    bits = above if params.p1 >= params.p0 else ~above
-    return bits.astype(np.int64), energies
+    return _decide(energies, params.threshold, params.p0, params.p1), energies

@@ -7,21 +7,51 @@ compensation / ideal synchronization).
 
 Each task is one fixed block of ``BLOCK`` trials of one grid cell.  It owns
 the substream derived from the root seed and the (cell, block) counters,
-and draws from it the block's offsets, then its channels.  A BER frame
-carries a payload, and its block then runs one trial at a time on the same
-substream: redraw a degenerate channel, draw the payload, synthesize the
-frame, offset its clock, estimate the offset and detect the payload three ways.
+and draws from it the block's offsets, then its channels, then everything
+else its trials need, one array for the whole block at a time.  No
+experiment kind synthesizes samples or loops over its trials.
+
+Every statistic here reads the received samples only through the energies
+of stretches of them.  Under one channel per frame a sample of bit b is
+CN(0, p_b), so its energy is p_b * Exp(1), and the energy of m samples
+inside one bit is p_b * Gamma(m, 1), independent of every disjoint stretch.
+The blocks draw those energies directly.
 
 An MAE or histogram frame has no payload, and its trial is only the pilot
 scan, which reads the pilot through its N_p column power sums
-(``scan_sto``).  Those sums are drawn directly.  Under one channel per
-frame, column j of the L "1" windows sums L independent |CN(0, p)|^2
-samples, i.e. p * Gamma(L, 1): p = p1 where the offset window still covers
-its "1" bit (0 <= tau + j < N_p), and p = p0 where it reads a neighbour.
-That is exact: every "1" window's neighbours are "0" bits (the pilot "0"
-before it, and the pilot "0" or the guard bit after it), and no two windows
-share a sample, because the windows lie 2 N_p apart and |tau| < N_p/2.
-The block draws all its gamma sums at once for one batched scan.
+(``scan_sto``).  Column j of the L "1" windows sums L samples, i.e.
+p * Gamma(L, 1): p = p1 where the offset window still covers its "1" bit
+(0 <= tau + j < N_p), and p = p0 where it reads a neighbour.  That is exact:
+every "1" window's neighbours are "0" bits (the pilot "0" before it, and
+the pilot "0" or the guard bit after it), and no two windows share a
+sample, because the windows lie 2 N_p apart and |tau| < N_p/2.
+
+A BER frame adds K payload bits and a trailing guard "0".  Its trial reads
+the L pilot rows and three windows per payload bit: the ideal one (the
+bit's own N samples), the offset one (clock tau) and the compensated one
+(clock r = tau - tau_hat).  Rows 0..L-2 are drawn as p * Gamma(L-1) column
+sums, as above.  The last pilot pair and payload bit 0 are drawn one
+p * Exp(1) per sample, because several readers share their samples:
+
+(a) for tau > 0, the last row reads bit 0's first tau samples, and so do
+    bit 0's ideal window and, when 0 <= r < tau, its compensated one;
+(b) for r < 0, the compensated window of bit 0 reads the last |r| samples
+    of the last pilot "1" bit, which the last row may read too: the row
+    covers [tau, N_p) of that bit for tau > 0 and [0, N_p + tau) for
+    tau < 0.  When |r| > N the windows of bits 0 and 1 both reach into it.
+
+The last row is built from those samples and the block is scanned at once.
+Bits 1..K-1 and the guard bit are then cut where the two offset clocks
+cross them, at tau mod N and r mod N, into at most three segments, each
+drawn as p_b * Gamma(length).  Every window ends on a drawn sample or on a
+segment cut, so its energy is the difference of the cumulative energy at
+its two ends, and the three windows keep every sample they share with each
+other and with the pilot.  No window starts before the last pilot "1" bit
+(r > -N_p) or ends after the guard bit (the config bounds every clock by
+N).  Each window is decided against its trial's threshold.  The
+sample-level path (``synthesize_received``, ``estimate_sto``,
+``detect_frame``) stays in the library, and the tests hold the block
+sampler to it.
 
 Blocks do not depend on the worker count, and all aggregation is over
 integer accumulators, so results are byte-identical for any worker count.
@@ -38,17 +68,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import DetectorParams
+from .detector import _decide, ed_threshold
+from .estimator import scan_sto
+from .frame import FrameConfig
+from .signal_model import ChannelModel, ChannelState, draw_channel, trial_rng
 
 # perfbench/spans.py times the layers by wrapping these module attributes:
 # trial_rng, draw_channel, build_bit_sequence, synthesize_received, apply_sto,
 # collect_windows, estimate_sto (whose .tau_hat it reads), _detect_bits and
 # _run_task, plus frame.gen_cgn_block and DetectorParams.from_powers.
-# Removing or renaming any of them fails the traced benchmark.
-from .detector import detect_frame as _detect_bits
-from .estimator import collect_windows, estimate_sto, scan_sto
-from .frame import FrameConfig, apply_sto, build_bit_sequence, synthesize_received
-from .signal_model import ChannelModel, ChannelState, draw_channel, trial_rng
+# Removing or renaming any of them fails the traced benchmark.  The harness no
+# longer runs the sample-level frame path; its names stay bound for the wrappers.
+from .detector import detect_frame as _detect_bits  # noqa: F401
+from .estimator import collect_windows, estimate_sto  # noqa: F401
+from .frame import apply_sto, build_bit_sequence, synthesize_received  # noqa: F401
 
 # every experiment frame has one wake-up bit ahead of the pilot
 PREAMBLE_BITS = 1
@@ -62,8 +95,9 @@ BLOCK = 256
 NEAR_DEGENERATE_REL = 1e-9
 
 
-def _degenerate(ch: ChannelState) -> bool:
-    return abs(ch.p1 - ch.p0) < NEAR_DEGENERATE_REL * max(ch.p0, ch.p1)
+def _degenerate(ch: ChannelState):
+    """Whether the on/off powers are too close for a threshold (elementwise)."""
+    return np.abs(ch.p1 - ch.p0) < NEAR_DEGENERATE_REL * np.maximum(ch.p0, ch.p1)
 
 
 def _as_int(name: str, value) -> int:
@@ -247,32 +281,23 @@ def _run_task(args) -> np.ndarray:
     tau = np.asarray(config.tau_choices)[rng.integers(len(config.tau_choices), size=n)]
     static = config.channel.kind == "static"
     channels = config.channel.static_state(noise) if static else draw_channel(rng, noise, n)
-    counts = np.zeros(2 * config.pilot_bit_samples + 4, dtype=np.int64)
-    body = _frame_trials if frame.data_symbols else _pilot_sums
-    body(rng, frame, noise, tau, channels, counts)
+    span = config.pilot_bit_samples
+    counts = np.zeros(2 * span + 4, dtype=np.int64)
+    if not frame.data_symbols:
+        _pilot_sums(rng, frame, noise, tau, channels, counts)
+        return counts
+    tau_hat, bit_errors = _payload_frames(rng, frame, noise, tau, channels)
+    counts[: 2 * span + 1] += np.bincount(tau - tau_hat + span, minlength=2 * span + 1)
+    counts[-3:] += bit_errors.sum(axis=0)
     return counts
 
 
-def _frame_trials(rng, frame, noise, tau, channels, counts) -> None:
-    """Add a block of frames with payload to ``counts``, one synthesized
-    frame per trial, each drawing from ``rng`` in trial order."""
-    span = frame.pilot_bit_samples
-    p0, p1 = (np.broadcast_to(p, tau.shape) for p in (channels.p0, channels.p1))
-    for t, ch in zip(tau.tolist(), map(ChannelState, p0, p1)):
-        # the threshold needs distinct on/off powers; the config refuses
-        # a degenerate static channel, so only a fading draw is redrawn
-        while _degenerate(ch):
-            ch = draw_channel(rng, noise)
-        payload = rng.integers(0, 2, size=frame.data_symbols)
-        bits = build_bit_sequence(frame, payload)
-        w = synthesize_received(bits, frame, ch, rng)
-        w_sto = apply_sto(w, t)
-        tau_hat = estimate_sto(collect_windows(w_sto)).tau_hat
-        counts[t - tau_hat + span] += 1
-        params = DetectorParams.from_powers(frame.data_symbol_samples, ch.p0, ch.p1)
-        for i, (wave, shift) in enumerate(((w, 0), (w_sto, 0), (w_sto, tau_hat))):
-            decided, _ = _detect_bits(wave, params, shift)
-            counts[2 * span + 1 + i] += int((decided != payload).sum())
+def _pilot_powers(tau, span, p0, p1) -> np.ndarray:
+    """Power of column j of a pilot row under offset tau, shape (n, N_p): p1
+    where the window still covers its "1" bit (0 <= tau + j < N_p), else p0."""
+    shifted = tau[:, None] + np.arange(span)
+    inside = (shifted >= 0) & (shifted < span)
+    return np.where(inside, np.reshape(p1, (-1, 1)), np.reshape(p0, (-1, 1)))
 
 
 def _pilot_sums(rng, frame, noise, tau, channels, counts) -> None:
@@ -280,12 +305,79 @@ def _pilot_sums(rng, frame, noise, tau, channels, counts) -> None:
     column sums and scanned at once (see the module docstring)."""
     pairs, span = frame.pilot_pairs, frame.pilot_bit_samples
     sums = rng.standard_gamma(pairs, size=(tau.size, span))
-    shifted = tau[:, None] + np.arange(span)
-    inside = (shifted >= 0) & (shifted < span)
-    p0, p1 = (np.reshape(p, (-1, 1)) for p in (channels.p0, channels.p1))
-    sums *= np.where(inside, p1, p0)
+    sums *= _pilot_powers(tau, span, channels.p0, channels.p1)
     errors = tau - scan_sto(sums, pairs) + span
     counts[: 2 * span + 1] += np.bincount(errors, minlength=2 * span + 1)
+
+
+def _usable_powers(rng, noise, channels, n) -> tuple[np.ndarray, np.ndarray]:
+    """The block's on/off powers as (n, 1) arrays, with every degenerate
+    channel redrawn until it is not.  The config refuses a degenerate static
+    channel, so only fading draws are redrawn."""
+    p0, p1 = (np.array(np.broadcast_to(p, (n,)), dtype=float) for p in (channels.p0, channels.p1))
+    redraw = np.flatnonzero(_degenerate(ChannelState(p0, p1)))
+    while redraw.size:
+        ch = draw_channel(rng, noise, redraw.size)
+        p0[redraw], p1[redraw] = ch.p0, ch.p1
+        redraw = redraw[_degenerate(ch)]
+    return p0[:, None], p1[:, None]
+
+
+def _payload_frames(rng, frame, noise, tau, channels) -> tuple[np.ndarray, np.ndarray]:
+    """Draw a block of frames with payload through their window energies and
+    decide them (see the module docstring).
+
+    Returns each trial's offset estimate, shape (n,), and its payload bit
+    errors under ideal sync, no compensation and the estimated compensation,
+    shape (n, 3).
+    """
+    n = tau.size
+    pairs, span = frame.pilot_pairs, frame.pilot_bit_samples
+    k, width = frame.data_symbols, frame.data_symbol_samples
+    p0, p1 = _usable_powers(rng, noise, channels, n)
+    payload = rng.integers(0, 2, size=(n, k))
+
+    # pilot rows 0..L-2 as column sums; the last pilot pair and payload bit 0
+    # sample by sample, positions -2 N_p .. N - 1 from the payload's start
+    sums = rng.standard_gamma(pairs - 1, size=(n, span)) * _pilot_powers(tau, span, p0, p1)
+    near = rng.standard_exponential((n, 2 * span + width))
+    near[:, :span] *= p0
+    near[:, span : 2 * span] *= p1
+    near[:, 2 * span :] *= np.where(payload[:, :1] == 1, p1, p0)
+    # row L-1 reads positions tau + j - N_p: the pilot "0", its "1" or bit 0
+    sums += np.take_along_axis(near, span + tau[:, None] + np.arange(span), axis=1)
+    tau_hat = scan_sto(sums, pairs)
+
+    # bits 1..K-1 and the guard bit are cut where the offset (tau) and the
+    # compensated (tau - tau_hat) clocks cross them: three segments each
+    cuts = np.sort(np.stack([tau, tau - tau_hat], axis=1) % width, axis=1)
+    lengths = np.diff(cuts, prepend=0, append=width)[:, None, :]
+    later = np.concatenate([payload[:, 1:], np.zeros((n, 1), dtype=payload.dtype)], axis=1)
+    segments = rng.standard_gamma(lengths, size=(n, k, 3))
+    segments *= np.where(later == 1, p1, p0)[:, :, None]
+
+    # energy[i, m]: the energy of trial i from position -2 N_p up to its m-th
+    # sample (m <= 2 N_p + N), then up to each later cut; every window is the
+    # difference of the energies at its two ends
+    energy = np.concatenate([np.zeros((n, 1)), near, segments.reshape(n, 3 * k)], axis=1)
+    np.cumsum(energy, axis=1, out=energy)
+    del near, segments  # the window step below sets the block's peak memory
+
+    def windows(clock):
+        # a clock crosses every later bit at the same offset: cut 0, 1 or 2
+        whole, offset = np.divmod(clock, width)
+        cut = np.where(offset == 0, 0, np.where(offset == cuts[:, 0], 1, 2))
+        ends = clock[:, None] + width * np.arange(k + 1)
+        beyond = (width + 3 * (whole - 1) + cut)[:, None] + 3 * np.arange(k + 1)
+        index = np.where(ends <= width, ends, beyond) + 2 * span
+        return np.diff(np.take_along_axis(energy, index, axis=1), axis=1)
+
+    threshold = ed_threshold(width, p0, p1)
+    bit_errors = [
+        (_decide(windows(clock), threshold, p0, p1) != payload).sum(axis=1)
+        for clock in (np.zeros_like(tau), tau, tau - tau_hat)
+    ]
+    return tau_hat, np.stack(bit_errors, axis=1)
 
 
 def _execute(config: ExperimentConfig) -> list[np.ndarray]:

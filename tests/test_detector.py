@@ -109,6 +109,34 @@ def test_threshold_stable_near_equal_powers():
     assert t == pytest.approx(limit, rel=1e-9)
 
 
+def test_threshold_array_matches_scalar_calls():
+    # the block sampler computes a block's thresholds in one call; each one
+    # must equal the scalar call on its own power pair, bit for bit
+    rng = np.random.default_rng(8)
+    p0 = rng.exponential(size=10_000) * 10.0 ** rng.uniform(-3, 3, size=10_000)
+    p1 = rng.exponential(size=10_000) * 10.0 ** rng.uniform(-3, 3, size=10_000)
+    for n in (1, 12, 50, 100):
+        thresholds = ed_threshold(n, p0, p1)
+        assert thresholds.shape == (10_000,)
+        assert thresholds.tolist() == [ed_threshold(n, a, b) for a, b in zip(p0, p1)]
+    # broadcasting: a column of powers against one scalar power
+    column = ed_threshold(20, p0[:5, None], 2.0)
+    assert column.shape == (5, 1)
+    assert column.ravel().tolist() == [ed_threshold(20, a, 2.0) for a in p0[:5]]
+
+
+def test_threshold_array_refusals():
+    good = np.array([1.0, 2.0, 3.0])
+    with pytest.raises(DegenerateChannelError, match="p0 == p1 == 2.0"):
+        ed_threshold(50, good, np.array([2.0, 2.0, 4.0]))
+    with pytest.raises(ValueError, match="positive"):
+        ed_threshold(50, good, np.array([2.0, 0.0, 4.0]))
+    with pytest.raises(ValueError, match="positive"):
+        ed_threshold(50, -good, 1.5)
+    with pytest.raises(ValueError, match="n_samples"):
+        ed_threshold(0, good, 1.5)
+
+
 # ------------------------------------------------ energy statistic and decisions
 
 

@@ -291,6 +291,18 @@ def test_hist_worker_independent():
     assert a == b
 
 
+def test_degenerate_channels_redrawn_block_wide():
+    # trials 1 and 3 have on/off powers within NEAR_DEGENERATE_REL of each
+    # other and are redrawn from the block's stream; the others keep theirs
+    near = 1.0 + harness.NEAR_DEGENERATE_REL / 2
+    channels = ChannelState(np.array([1.0, 2.0, 1.0, 5.0]), np.array([3.0, 2.0, 0.5, 5.0 * near]))
+    p0, p1 = harness._usable_powers(trial_rng(4, 0, 0), 1.0, channels, 4)
+    assert p0.shape == p1.shape == (4, 1)
+    assert not harness._degenerate(ChannelState(p0, p1)).any()
+    assert p0[[0, 2], 0].tolist() == [1.0, 1.0] and p1[[0, 2], 0].tolist() == [3.0, 0.5]
+    assert p0[1, 0] != 2.0 and p0[3, 0] != 5.0
+
+
 # bounds of the stream-law tests below, fixed before their first runs:
 # chi-square significance, and the largest two-sample z of a BER column
 STREAM_LAW_P_MIN = 1e-3
@@ -366,14 +378,15 @@ def test_pilot_batch_keeps_the_frame_law(monkeypatch):
 
 
 def per_trial_ber_frames(config, seed):
-    """The earlier BER layout, on ``config``'s one cell: every trial draws
-    from its own (seed, cell, trial) substream. Returns the error histogram
-    and each frame's bit errors under ideal sync, no and estimated compensation."""
+    """The sample-level BER path, on ``config``'s one cell: every trial draws
+    from its own (seed, cell, trial) substream, synthesizes its frame and
+    estimates and detects it. Returns each frame's estimation error and its
+    bit errors under ideal sync, no and estimated compensation."""
     (snr,), (pairs,), (n,) = config.snr_grid_db, config.pilot_pairs, config.symbol_samples
     frame = FrameConfig(harness.PREAMBLE_BITS, pairs, config.pilot_bit_samples, config.data_symbols, n)
     noise = config.channel.noise_for_snr(snr, config.snr_reference)
     taus = config.tau_choices
-    hist, errors = Counter(), np.zeros((config.trials, 3), dtype=np.int64)
+    eps, errors = np.zeros(config.trials, dtype=np.int64), np.zeros((config.trials, 3), dtype=np.int64)
     for trial in range(config.trials):
         rng = trial_rng(seed, 0, trial)
         tau = taus[rng.integers(len(taus))]
@@ -387,20 +400,19 @@ def per_trial_ber_frames(config, seed):
         w = synthesize_received(build_bit_sequence(frame, payload), frame, ch, rng)
         w_sto = apply_sto(w, tau)
         tau_hat = estimate_sto(collect_windows(w_sto)).tau_hat
-        hist[tau - tau_hat] += 1
+        eps[trial] = tau - tau_hat
         params = DetectorParams.from_powers(n, ch.p0, ch.p1)
         for i, (wave, shift) in enumerate(((w, 0), (w_sto, 0), (w_sto, tau_hat))):
             errors[trial, i] = (detect_frame(wave, params, shift)[0] != payload).sum()
-    return hist, errors
+    return eps, errors
 
 
 def test_ber_block_stream_keeps_the_frame_law():
-    # a BER block draws its offsets and channels first, then each frame's
-    # payload and samples, all from the block's one substream; the earlier
-    # layout gave each trial its own. Both must give one law: chi-square
-    # homogeneity of the error histograms and a two-sample z-test of each BER
-    # column (the per-trial loop's per-frame variance), 10,000 trials each,
-    # on both channels
+    # a BER block draws its frames through their window energies (the block
+    # sampler); the sample-level path synthesizes each frame from its own
+    # substream. Both must give one law: chi-square homogeneity of the error
+    # histograms and a two-sample z-test of each BER column (the per-trial
+    # loop's per-frame variance), 10,000 trials each, on both channels
     static = dict(channel=ChannelModel("static", rho=0.5), snr_reference="mean_received")
     for channel in ({}, static):
         config = ExperimentConfig(
@@ -411,13 +423,44 @@ def test_ber_block_stream_keeps_the_frame_law():
         (counts,) = harness._execute(config)
         span = config.pilot_bit_samples
         blocks = {e - span: int(c) for e, c in enumerate(counts[: 2 * span + 1]) if c}
-        hist, errors = per_trial_ber_frames(config, seed=2)
-        p_value = homogeneity_p(blocks, hist)
+        eps, errors = per_trial_ber_frames(config, seed=2)
+        p_value = homogeneity_p(blocks, Counter(eps.tolist()))
         assert p_value > STREAM_LAW_P_MIN, (channel, p_value)
         trials = config.trials
         se = np.sqrt(2 * errors.var(axis=0, ddof=1) / trials)
         z = (counts[-3:] / trials - errors.mean(axis=0)) / se
         assert np.all(np.abs(z) <= STREAM_LAW_Z_MAX), (channel, z)
+
+
+def test_ber_sampler_keeps_the_joint_frame_law(monkeypatch):
+    # the pilot's last row, the ideal, offset and compensated windows of
+    # payload bit 0 and the last pilot "1" bit share samples: the row reads
+    # bit 0's head for tau > 0, and a compensated window with tau - tau_hat < 0
+    # reads the pilot bit's tail, which the row may read too. With one pilot
+    # pair and one payload bit, the joint table of (tau - tau_hat, ideal,
+    # no-comp, comp errors) per trial must match the sample-level path's:
+    # chi-square homogeneity over 50,000 trials each
+    config = ExperimentConfig(
+        kind="ber_compare", snr_grid_db=(10.0,), trials=50_000, pilot_pairs=(1,),
+        pilot_bit_samples=16, symbol_samples=(12,), data_symbols=1,
+        tau_choices=(-5, -4, 4, 5), seed=1, threads=1,
+        channel=ChannelModel("static", rho=0.5), snr_reference="mean_received",
+    )
+    sampled = Counter()
+    payload_frames = harness._payload_frames
+
+    def recording(rng, frame, noise, tau, channels):
+        tau_hat, bit_errors = payload_frames(rng, frame, noise, tau, channels)
+        sampled.update(zip((tau - tau_hat).tolist(), *bit_errors.T.tolist()))
+        return tau_hat, bit_errors
+
+    monkeypatch.setattr(harness, "_payload_frames", recording)
+    harness._execute(config)
+    eps, errors = per_trial_ber_frames(config, seed=2)
+    frames = Counter(zip(eps.tolist(), *errors.T.tolist()))
+    assert sum(sampled.values()) == sum(frames.values()) == config.trials
+    p_value = homogeneity_p(sampled, frames)
+    assert p_value > STREAM_LAW_P_MIN, p_value
 
 
 # -------------------------------------------------------------------- results
