@@ -124,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--seed", type=int, help="root seed")
         p.add_argument("--out", help="output CSV path")
-        p.add_argument("--threads", type=int, help="worker processes (default: all cores)")
+        p.add_argument("--threads", type=int, help="worker processes (default: the usable CPUs)")
     return parser
 
 

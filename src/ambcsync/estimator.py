@@ -63,25 +63,21 @@ def collect_windows(w: Waveform) -> np.ndarray:
 
 def _profile(col_sums: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Plug-in segment variances s1, s2 and the profile log-likelihood at
-    n0 = 2..N_p-1 for column power sums of shape (..., N_p).
+    n0 = 2..N_p-1 for column power sums of shape (..., N_p); each result has
+    shape (..., N_p - 2), its last axis indexed by n0 - 2.
 
-    Segment 1 is columns [1..n0], segment 2 is [n0+1..N_p] (1-indexed).  Each
-    result is the transpose of the batch layout: the candidate axis first,
-    then the batch axes in reverse order.
+    Segment 1 is columns [1..n0], segment 2 is [n0+1..N_p] (1-indexed).
     """
-    # columns first, so that each step of the scan is one vector operation
-    # across the batch
-    sums = np.asarray(col_sums, dtype=float).T
-    cols = sums.shape[0]
-    prefix = np.cumsum(sums, axis=0)
-
-    candidates = np.arange(2, cols).reshape((-1,) + (1,) * (sums.ndim - 1))
-    head = prefix[1:-1]
+    sums = np.asarray(col_sums, dtype=float)
+    cols = sums.shape[-1]
+    prefix = np.cumsum(sums, axis=-1)
+    candidates = np.arange(2, cols)
+    head = prefix[..., 1:-1]
     s1 = head / (rows * candidates)
-    s2 = (prefix[-1] - head) / (rows * (cols - candidates))
+    s2 = (prefix[..., -1:] - head) / (rows * (cols - candidates))
     bad = (s1 <= 0.0) | (s2 <= 0.0)
     if bad.any():
-        raise DegenerateSegmentError(f"zero-power segment at n0={2 + np.nonzero(bad)[0].min()}")
+        raise DegenerateSegmentError(f"zero-power segment at n0={2 + np.nonzero(bad)[-1].min()}")
     loglik = -candidates * rows * np.log(s1) - (cols - candidates) * rows * np.log(s2)
     return s1, s2, loglik
 
@@ -101,8 +97,8 @@ def scan_sto(col_sums: np.ndarray, rows: int) -> np.ndarray:
     to the smallest candidate.
     """
     _, _, loglik = _profile(col_sums, rows)
-    n0_hat = 2 + np.argmax(loglik, axis=0)  # first maximum: smallest-n0 tie-break
-    return _offset(n0_hat, np.shape(col_sums)[-1]).T
+    n0_hat = 2 + np.argmax(loglik, axis=-1)  # first maximum: smallest-n0 tie-break
+    return _offset(n0_hat, np.shape(col_sums)[-1])
 
 
 def estimate_sto(y: np.ndarray) -> StoEstimate:

@@ -6,9 +6,11 @@ and a paired bit-error-rate comparison (no compensation / estimated
 compensation / ideal synchronization).
 
 Each task is one fixed block of ``BLOCK`` trials of one grid cell.  It owns
-the substream derived from the root seed and the (cell, block) counters,
-and draws from it the block's offsets, then its channels, then everything
-else its trials need, one array for the whole block at a time.  No
+the substream derived from the root seed and the (cell, block) counters.
+Every kind runs one prologue on it, one array for the whole block at a
+time: the block's offsets, then its on/off powers (the static state, or one
+fading draw per frame with each degenerate draw redrawn), then the kind's
+sampler, whose estimates and bit errors fill the one count vector.  No
 experiment kind synthesizes samples or loops over its trials.
 
 Every statistic here reads the received samples only through the energies
@@ -73,12 +75,10 @@ from .estimator import scan_sto
 from .frame import FrameConfig
 from .signal_model import ChannelModel, ChannelState, draw_channel, trial_rng
 
-# perfbench/spans.py times the layers by wrapping these module attributes:
-# trial_rng, draw_channel, build_bit_sequence, synthesize_received, apply_sto,
-# collect_windows, estimate_sto (whose .tau_hat it reads), _detect_bits and
-# _run_task, plus frame.gen_cgn_block and DetectorParams.from_powers.
-# Removing or renaming any of them fails the traced benchmark.  The harness no
-# longer runs the sample-level frame path; its names stay bound for the wrappers.
+# perfbench/spans.py times the layers by wrapping trial_rng, draw_channel and
+# _run_task here, frame.gen_cgn_block, DetectorParams.from_powers, and the
+# sample-level names below, which the engine no longer calls; removing or
+# renaming any of them fails the traced benchmark.
 from .detector import detect_frame as _detect_bits  # noqa: F401
 from .estimator import collect_windows, estimate_sto  # noqa: F401
 from .frame import apply_sto, build_bit_sequence, synthesize_received  # noqa: F401
@@ -90,13 +90,14 @@ PREAMBLE_BITS = 1
 # depend on the worker count
 BLOCK = 256
 
-# below this relative power gap the threshold formula is numerically
-# meaningless and the trial's channel is redrawn
+# frames whose on/off powers lie closer than this relative gap have no
+# contrast to detect, and the law leaves them out by redrawing their fading
+# channel; ``ed_threshold`` stays accurate far below it (it refuses only p0 == p1)
 NEAR_DEGENERATE_REL = 1e-9
 
 
 def _degenerate(ch: ChannelState):
-    """Whether the on/off powers are too close for a threshold (elementwise)."""
+    """Whether the on/off powers have no contrast to detect (elementwise)."""
     return np.abs(ch.p1 - ch.p0) < NEAR_DEGENERATE_REL * np.maximum(ch.p0, ch.p1)
 
 
@@ -205,8 +206,7 @@ class ExperimentConfig:
             noise = self.channel.noise_for_snr(snr, self.snr_reference)
             if self.channel.kind != "static":
                 continue
-            # every trial sees this one state: a degenerate one would send the
-            # BER runner's redraw loop round forever
+            # every trial sees this one state, which cannot be redrawn
             ch = self.channel.static_state(noise)
             if _degenerate(ch):
                 raise ValueError(
@@ -279,43 +279,26 @@ def _run_task(args) -> np.ndarray:
     n = min(BLOCK, config.trials - block * BLOCK)
     rng = trial_rng(config.seed, cell_index, block)
     tau = np.asarray(config.tau_choices)[rng.integers(len(config.tau_choices), size=n)]
-    static = config.channel.kind == "static"
-    channels = config.channel.static_state(noise) if static else draw_channel(rng, noise, n)
-    span = config.pilot_bit_samples
-    counts = np.zeros(2 * span + 4, dtype=np.int64)
-    if not frame.data_symbols:
-        _pilot_sums(rng, frame, noise, tau, channels, counts)
-        return counts
-    tau_hat, bit_errors = _payload_frames(rng, frame, noise, tau, channels)
-    counts[: 2 * span + 1] += np.bincount(tau - tau_hat + span, minlength=2 * span + 1)
-    counts[-3:] += bit_errors.sum(axis=0)
-    return counts
+    p0, p1 = _channel_powers(rng, config.channel, noise, n)
+    span, pairs = frame.pilot_bit_samples, frame.pilot_pairs
+    if frame.data_symbols:
+        tau_hat, bit_errors = _payload_frames(rng, frame, tau, p0, p1)
+    else:
+        tau_hat = scan_sto(_pilot_sums(rng, pairs, tau, span, p0, p1), pairs)
+        bit_errors = np.zeros((n, 3), dtype=np.int64)
+    errors = np.bincount(tau - tau_hat + span, minlength=2 * span + 1)
+    return np.concatenate([errors, bit_errors.sum(axis=0)]).astype(np.int64)
 
 
-def _pilot_powers(tau, span, p0, p1) -> np.ndarray:
-    """Power of column j of a pilot row under offset tau, shape (n, N_p): p1
-    where the window still covers its "1" bit (0 <= tau + j < N_p), else p0."""
-    shifted = tau[:, None] + np.arange(span)
-    inside = (shifted >= 0) & (shifted < span)
-    return np.where(inside, np.reshape(p1, (-1, 1)), np.reshape(p0, (-1, 1)))
-
-
-def _pilot_sums(rng, frame, noise, tau, channels, counts) -> None:
-    """Add a block of frames without payload to ``counts``, drawn as pilot
-    column sums and scanned at once (see the module docstring)."""
-    pairs, span = frame.pilot_pairs, frame.pilot_bit_samples
-    sums = rng.standard_gamma(pairs, size=(tau.size, span))
-    sums *= _pilot_powers(tau, span, channels.p0, channels.p1)
-    errors = tau - scan_sto(sums, pairs) + span
-    counts[: 2 * span + 1] += np.bincount(errors, minlength=2 * span + 1)
-
-
-def _usable_powers(rng, noise, channels, n) -> tuple[np.ndarray, np.ndarray]:
-    """The block's on/off powers as (n, 1) arrays, with every degenerate
-    channel redrawn until it is not.  The config refuses a degenerate static
-    channel, so only fading draws are redrawn."""
-    p0, p1 = (np.array(np.broadcast_to(p, (n,)), dtype=float) for p in (channels.p0, channels.p1))
-    redraw = np.flatnonzero(_degenerate(ChannelState(p0, p1)))
+def _channel_powers(rng, channel, noise, n) -> tuple[np.ndarray, np.ndarray]:
+    """The block's on/off powers as (n, 1) columns: the static state (which the
+    config checks), or one fading draw per frame, degenerate ones redrawn."""
+    if channel.kind == "static":
+        ch = channel.static_state(noise)
+        return np.full((n, 1), ch.p0), np.full((n, 1), ch.p1)
+    ch = draw_channel(rng, noise, n)
+    p0, p1 = ch.p0, ch.p1
+    redraw = np.flatnonzero(_degenerate(ch))
     while redraw.size:
         ch = draw_channel(rng, noise, redraw.size)
         p0[redraw], p1[redraw] = ch.p0, ch.p1
@@ -323,7 +306,16 @@ def _usable_powers(rng, noise, channels, n) -> tuple[np.ndarray, np.ndarray]:
     return p0[:, None], p1[:, None]
 
 
-def _payload_frames(rng, frame, noise, tau, channels) -> tuple[np.ndarray, np.ndarray]:
+def _pilot_sums(rng, rows, tau, span, p0, p1) -> np.ndarray:
+    """Column power sums of ``rows`` pilot rows per frame, shape (n, N_p):
+    column j is p * Gamma(rows), with p = p1 where the offset window still
+    covers its "1" bit (0 <= tau + j < N_p), else p0."""
+    shifted = tau[:, None] + np.arange(span)
+    inside = (shifted >= 0) & (shifted < span)
+    return rng.standard_gamma(rows, size=(tau.size, span)) * np.where(inside, p1, p0)
+
+
+def _payload_frames(rng, frame, tau, p0, p1) -> tuple[np.ndarray, np.ndarray]:
     """Draw a block of frames with payload through their window energies and
     decide them (see the module docstring).
 
@@ -334,12 +326,11 @@ def _payload_frames(rng, frame, noise, tau, channels) -> tuple[np.ndarray, np.nd
     n = tau.size
     pairs, span = frame.pilot_pairs, frame.pilot_bit_samples
     k, width = frame.data_symbols, frame.data_symbol_samples
-    p0, p1 = _usable_powers(rng, noise, channels, n)
     payload = rng.integers(0, 2, size=(n, k))
 
     # pilot rows 0..L-2 as column sums; the last pilot pair and payload bit 0
     # sample by sample, positions -2 N_p .. N - 1 from the payload's start
-    sums = rng.standard_gamma(pairs - 1, size=(n, span)) * _pilot_powers(tau, span, p0, p1)
+    sums = _pilot_sums(rng, pairs - 1, tau, span, p0, p1)
     near = rng.standard_exponential((n, 2 * span + width))
     near[:, :span] *= p0
     near[:, span : 2 * span] *= p1
@@ -388,7 +379,8 @@ def _execute(config: ExperimentConfig) -> list[np.ndarray]:
     ]
     blocks = -(-config.trials // BLOCK)
     tasks = [(config, *cell, block) for cell in cells for block in range(blocks)]
-    cores = os.cpu_count() or 1
+    affinity = getattr(os, "sched_getaffinity", None)  # the CPUs this process may use
+    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
     processes = min(config.threads or cores, len(tasks), cores)
     if processes == 1:
         outputs = [_run_task(t) for t in tasks]

@@ -1,9 +1,11 @@
-"""Scalar oracles for the likelihood scan.
+"""Scalar oracles for the likelihood scan, and the exact matrices it is tested on.
 
-Each computes one candidate n0 straight from the pilot matrix, with no
-prefix sums, so that the tests can check the library's batched profile
+Each oracle computes one candidate n0 straight from the pilot matrix, with
+no prefix sums, so that the tests can check the library's batched profile
 (``estimate_sto(y).s1/s2/loglik``) against an independent implementation.
 """
+
+import math
 
 import numpy as np
 
@@ -34,3 +36,23 @@ def log_likelihood_reduced(y, n0: int) -> float:
     if s1 <= 0.0 or s2 <= 0.0:
         raise DegenerateSegmentError(f"zero-power segment at n0={n0} (s1={s1}, s2={s2})")
     return float(-n0 * rows * np.log(s1) - (cols - n0) * rows * np.log(s2))
+
+
+def full_log_likelihood(y, n0):
+    """Complete two-segment Gaussian log-likelihood with plug-in variances."""
+    rows, cols = y.shape
+    s1, s2 = variance_estimates(y, n0)
+    power = y.real**2 + y.imag**2
+    head, tail = power[:, :n0].sum(), power[:, n0:].sum()
+    return (
+        -n0 * rows * math.log(s1)
+        - head / s1
+        - (cols - n0) * rows * math.log(s2)
+        - tail / s2
+    )
+
+
+def exact_two_segment(rng, rows, cols, split, v1, v2):
+    """Matrix whose per-sample magnitudes are exactly sqrt(v1) then sqrt(v2)."""
+    mags = np.concatenate([np.full(split, math.sqrt(v1)), np.full(cols - split, math.sqrt(v2))])
+    return mags * np.exp(1j * rng.uniform(0, 2 * np.pi, size=(rows, cols)))

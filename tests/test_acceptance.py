@@ -18,7 +18,7 @@ from ambcsync import (
     estimate_sto,
     run_experiment,
 )
-from oracles import variance_estimates
+from oracles import exact_two_segment, full_log_likelihood
 
 mp.mp.dps = 50
 
@@ -183,11 +183,6 @@ def test_criterion_4_ber_ordering():
 # ------------------------------------------------------------------ criterion 5
 
 
-def exact_two_segment(rng, rows, cols, split, v1, v2):
-    mags = np.concatenate([np.full(split, math.sqrt(v1)), np.full(cols - split, math.sqrt(v2))])
-    return mags * np.exp(1j * rng.uniform(0, 2 * np.pi, size=(rows, cols)))
-
-
 def test_criterion_5_estimator_exactness():
     rng = np.random.default_rng(106)
     exact_hits = 0
@@ -222,18 +217,6 @@ def test_criterion_5_estimator_exactness():
 
 
 # ------------------------------------------------------------------ criterion 6
-
-
-def full_log_likelihood(y, n0):
-    rows, cols = y.shape
-    s1, s2 = variance_estimates(y, n0)
-    power = y.real**2 + y.imag**2
-    return (
-        -n0 * rows * math.log(s1)
-        - power[:, :n0].sum() / s1
-        - (cols - n0) * rows * math.log(s2)
-        - power[:, n0:].sum() / s2
-    )
 
 
 def test_criterion_6_likelihood_algebra():

@@ -21,7 +21,12 @@ from ambcsync import (
 )
 from ambcsync.estimator import scan_sto
 from ambcsync.signal_model import gen_cgn_block
-from oracles import log_likelihood_reduced, variance_estimates
+from oracles import (
+    exact_two_segment,
+    full_log_likelihood,
+    log_likelihood_reduced,
+    variance_estimates,
+)
 
 
 def pilot_waveform(pairs=4, np_samples=12, seed=3, snr_db=None, h=1.0, zeta=1.0, g=1.0):
@@ -30,12 +35,6 @@ def pilot_waveform(pairs=4, np_samples=12, seed=3, snr_db=None, h=1.0, zeta=1.0,
     ch = ChannelState.from_coefficients(h, zeta, g, noise)
     w = synthesize_received(build_bit_sequence(cfg), cfg, ch, np.random.default_rng(seed))
     return w, cfg, ch
-
-
-def exact_two_segment(rng, rows, cols, split, v1, v2):
-    """Matrix whose per-sample magnitudes are exactly sqrt(v1) then sqrt(v2)."""
-    mags = np.concatenate([np.full(split, math.sqrt(v1)), np.full(cols - split, math.sqrt(v2))])
-    return mags * np.exp(1j * rng.uniform(0, 2 * np.pi, size=(rows, cols)))
 
 
 # ---------------------------------------------------------------- collect_windows
@@ -234,20 +233,6 @@ def test_scan_core_matches_estimate_sto():
             expected[:3], expected[3:]
         ]
         assert int(scan_sto(power_sums(batch[-1]), rows)) == expected[-1]
-
-
-def full_log_likelihood(y, n0):
-    """Complete two-segment Gaussian log-likelihood with plug-in variances."""
-    rows, cols = y.shape
-    s1, s2 = variance_estimates(y, n0)
-    power = y.real**2 + y.imag**2
-    head, tail = power[:, :n0].sum(), power[:, n0:].sum()
-    return (
-        -n0 * rows * math.log(s1)
-        - head / s1
-        - (cols - n0) * rows * math.log(s2)
-        - tail / s2
-    )
 
 
 def test_reduced_scan_matches_full_likelihood_argmax():

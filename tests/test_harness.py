@@ -157,7 +157,8 @@ def test_non_finite_snr_rejected(snr):
 @pytest.fixture
 def inline_pools(monkeypatch):
     """Replace the runner's process pool with one that runs tasks inline on a
-    4-core machine; returns the (processes, tasks) of each pool started."""
+    machine of 8 cores, 4 of which this process may run on; returns the
+    (processes, tasks) of each pool started."""
     pools = []
 
     class SpyContext:
@@ -179,14 +180,16 @@ def inline_pools(monkeypatch):
                 return [fn(t) for t in tasks]
 
     monkeypatch.setattr(harness.multiprocessing, "get_context", lambda method=None: SpyContext)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2, 5}, raising=False)
     return pools
 
 
 def test_resolve_threads(inline_pools):
     # one cell of 5 blocks is 5 (cell, block) tasks
     config = mae_config(snr_grid_db=(5.0,), pilot_pairs=(8,), trials=4 * harness.BLOCK + 1)
-    # an explicit count caps the processes; the default is one per core
+    # an explicit count caps the processes; the default is one per core this
+    # process may run on, not one per core of the machine
     run_experiment(replace(config, threads=3))
     run_experiment(replace(config, threads=None))
     assert inline_pools == [(3, 5), (4, 5)]
@@ -291,16 +294,58 @@ def test_hist_worker_independent():
     assert a == b
 
 
-def test_degenerate_channels_redrawn_block_wide():
+def planted_first_draw(monkeypatch, planted):
+    """Make the harness's first ``draw_channel`` call return ``planted`` and
+    later calls draw as usual; returns the block sizes of every call."""
+    sizes = []
+
+    def draw(rng, noise, n=None):
+        sizes.append(n)
+        return planted if len(sizes) == 1 else draw_channel(rng, noise, n)
+
+    monkeypatch.setattr(harness, "draw_channel", draw)
+    return sizes
+
+
+def test_degenerate_channels_redrawn_block_wide(monkeypatch):
     # trials 1 and 3 have on/off powers within NEAR_DEGENERATE_REL of each
     # other and are redrawn from the block's stream; the others keep theirs
     near = 1.0 + harness.NEAR_DEGENERATE_REL / 2
-    channels = ChannelState(np.array([1.0, 2.0, 1.0, 5.0]), np.array([3.0, 2.0, 0.5, 5.0 * near]))
-    p0, p1 = harness._usable_powers(trial_rng(4, 0, 0), 1.0, channels, 4)
+    planted_first_draw(
+        monkeypatch,
+        ChannelState(np.array([1.0, 2.0, 1.0, 5.0]), np.array([3.0, 2.0, 0.5, 5.0 * near])),
+    )
+    p0, p1 = harness._channel_powers(trial_rng(4, 0, 0), ChannelModel(), 1.0, 4)
     assert p0.shape == p1.shape == (4, 1)
     assert not harness._degenerate(ChannelState(p0, p1)).any()
     assert p0[[0, 2], 0].tolist() == [1.0, 1.0] and p1[[0, 2], 0].tolist() == [3.0, 0.5]
     assert p0[1, 0] != 2.0 and p0[3, 0] != 5.0
+
+
+def test_pilot_blocks_redraw_degenerate_channels(monkeypatch):
+    # a pilot-only block resolves its powers as a BER block does: a frame
+    # with no on/off contrast is redrawn from the block's stream before the
+    # pilot sums are drawn, so the scan sees only the redrawn powers
+    config = mae_config(kind="error_hist", trials=3, snr_grid_db=(10.0,), pilot_pairs=(8,))
+    ((_, _, frame),) = harness._cells(config)
+    noise = config.channel.noise_for_snr(10.0, config.snr_reference)
+    sizes = planted_first_draw(
+        monkeypatch, ChannelState(np.array([1.0, 2.0, 4.0]), np.array([3.0, 2.0, 0.5]))
+    )
+    seen = []
+    pilot_sums = harness._pilot_sums
+
+    def recording(rng, rows, tau, span, p0, p1):
+        seen.append((p0.ravel().tolist(), p1.ravel().tolist()))
+        return pilot_sums(rng, rows, tau, span, p0, p1)
+
+    monkeypatch.setattr(harness, "_pilot_sums", recording)
+    counts = harness._run_task((config, 0, frame, noise, 0))
+    assert sizes == [3, 1]
+    ((p0, p1),) = seen
+    assert p0[0::2] == [1.0, 4.0] and p1[0::2] == [3.0, 0.5]
+    assert p0[1] != 2.0 and not harness._degenerate(ChannelState(p0[1], p1[1]))
+    assert int(counts[:-3].sum()) == 3 and not counts[-3:].any()
 
 
 # bounds of the stream-law tests below, fixed before their first runs:
@@ -449,8 +494,8 @@ def test_ber_sampler_keeps_the_joint_frame_law(monkeypatch):
     sampled = Counter()
     payload_frames = harness._payload_frames
 
-    def recording(rng, frame, noise, tau, channels):
-        tau_hat, bit_errors = payload_frames(rng, frame, noise, tau, channels)
+    def recording(rng, frame, tau, p0, p1):
+        tau_hat, bit_errors = payload_frames(rng, frame, tau, p0, p1)
         sampled.update(zip((tau - tau_hat).tolist(), *bit_errors.T.tolist()))
         return tau_hat, bit_errors
 
