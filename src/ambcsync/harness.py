@@ -55,17 +55,24 @@ sample-level path (``synthesize_received``, ``estimate_sto``,
 ``detect_frame``) stays in the library, and the tests hold the block
 sampler to it.
 
-Blocks do not depend on the worker count, and all aggregation is over
-integer accumulators, so results are byte-identical for any worker count.
+With several workers the tasks are cut into one contiguous share per
+worker, balanced by trials, and each share runs in a forked child that
+pickles its count vectors back over a pipe.  A child that ends without a
+result, killed by a signal for instance, fails the run, and no child
+outlives it.  Without ``os.fork`` every task runs in this process.  Blocks
+do not depend on the worker count, and all aggregation is over integer
+accumulators, so results are byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import numbers
 import operator
 import os
+import pickle
+import signal
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -382,14 +389,89 @@ def _execute(config: ExperimentConfig) -> list[np.ndarray]:
     affinity = getattr(os, "sched_getaffinity", None)  # the CPUs this process may use
     cores = len(affinity(0)) if affinity else os.cpu_count() or 1
     processes = min(config.threads or cores, len(tasks), cores)
-    if processes == 1:
+    if processes == 1 or not hasattr(os, "fork"):
         outputs = [_run_task(t) for t in tasks]
     else:
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-        with ctx.Pool(processes=processes) as pool:
-            outputs = pool.map(_run_task, tasks, chunksize=1)
+        sizes = [min(BLOCK, config.trials - t[-1] * BLOCK) for t in tasks]
+        outputs = _run_forked(tasks, _shares(sizes, processes))
     return [np.sum(outputs[i * blocks : (i + 1) * blocks], axis=0) for i in range(len(cells))]
+
+
+def _shares(sizes: list[int], count: int) -> list[range]:
+    """Cut the task indices into ``count`` <= len(sizes) contiguous, non-empty
+    ranges, each cut where the trials before it lie nearest an equal split."""
+    done = np.concatenate([[0], np.cumsum(sizes)])  # trials before each cut point
+    cuts = [0]
+    for share in range(1, count):
+        nearest = int(np.abs(done - done[-1] * share / count).argmin())
+        # leave at least one task for this share and for each one after it
+        cuts.append(min(max(nearest, cuts[-1] + 1), len(sizes) - count + share))
+    return [range(a, b) for a, b in zip(cuts, cuts[1:] + [len(sizes)])]
+
+
+def _run_forked(tasks: list, shares: list[range]) -> list[np.ndarray]:
+    """Run each share of ``tasks`` in a child forked for it; returns the
+    outputs in task order.  A child's exception is raised here, its traceback
+    added as a note, and a child that ends with no result raises RuntimeError.
+    Every child is reaped, killed first if it still runs, and every pipe closed.
+    """
+    children = []  # (pid, read end of its pipe) until the child is reaped
+    try:
+        for share in shares:
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve_share(tasks, share, write_end)  # never returns
+            except BaseException:
+                os.close(read_end)
+                raise
+            finally:
+                os.close(write_end)
+            children.append((pid, open(read_end, "rb")))
+        outputs = []
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            if code != 0 or not data:
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                raise RuntimeError(f"worker process {pid} {how} and returned no result")
+            result = pickle.loads(data)
+            if isinstance(result, BaseException):
+                raise result
+            outputs.extend(result)
+        return outputs
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:  # it has ended; some systems refuse a zombie
+                pass
+            os.waitpid(pid, 0)
+
+
+def _serve_share(tasks: list, share: range, write_end: int) -> None:
+    """Run one share in a forked child, pickle its outputs or its exception to
+    ``write_end``, and leave without running the parent's exit handlers or
+    flushing the stdio buffers copied from it."""
+    code = 1
+    try:
+        try:
+            # the module global, so that a wrapper installed on it runs here too
+            result = [_run_task(tasks[i]) for i in share]
+        except BaseException as exc:
+            note = f"in a worker process:\n{traceback.format_exc()}"
+            exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
+            result = exc
+        with open(write_end, "wb") as pipe:
+            pickle.dump(result, pipe)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _mae(config: ExperimentConfig, counts: list[np.ndarray]) -> MaeResult:

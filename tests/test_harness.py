@@ -2,6 +2,7 @@
 
 import argparse
 import math
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -155,54 +156,40 @@ def test_non_finite_snr_rejected(snr):
 
 
 @pytest.fixture
-def inline_pools(monkeypatch):
-    """Replace the runner's process pool with one that runs tasks inline on a
-    machine of 8 cores, 4 of which this process may run on; returns the
-    (processes, tasks) of each pool started."""
-    pools = []
+def inline_workers(monkeypatch):
+    """Run the tasks of every would-be forked run inline, on a machine of 8
+    cores, 4 of which this process may run on; returns the (processes, tasks)
+    of each such run."""
+    runs = []
 
-    class SpyContext:
-        """Stands in for the multiprocessing context: its Pool records the
-        requested size and runs the tasks inline, so no process starts."""
+    def run_inline(tasks, shares):
+        runs.append((len(shares), len(tasks)))
+        return [harness._run_task(tasks[i]) for share in shares for i in share]
 
-        class Pool:
-            def __init__(self, processes):
-                self.processes = processes
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                pools.append((self.processes, len(tasks)))
-                return [fn(t) for t in tasks]
-
-    monkeypatch.setattr(harness.multiprocessing, "get_context", lambda method=None: SpyContext)
+    monkeypatch.setattr(harness, "_run_forked", run_inline)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2, 5}, raising=False)
-    return pools
+    return runs
 
 
-def test_resolve_threads(inline_pools):
+def test_resolve_threads(inline_workers):
     # one cell of 5 blocks is 5 (cell, block) tasks
     config = mae_config(snr_grid_db=(5.0,), pilot_pairs=(8,), trials=4 * harness.BLOCK + 1)
     # an explicit count caps the processes; the default is one per core this
     # process may run on, not one per core of the machine
     run_experiment(replace(config, threads=3))
     run_experiment(replace(config, threads=None))
-    assert inline_pools == [(3, 5), (4, 5)]
+    assert inline_workers == [(3, 5), (4, 5)]
     for explicit in (0, -3):
         with pytest.raises(ValueError, match="threads"):
             replace(config, threads=explicit)
 
 
-def test_pool_size_capped_by_tasks_and_cores(inline_pools):
-    pools = inline_pools
+def test_pool_size_capped_by_tasks_and_cores(inline_workers):
+    pools = inline_workers
     config = mae_config(snr_grid_db=(5.0,), pilot_pairs=(8,), trials=harness.BLOCK)
     serial = run_experiment(config)
-    # one block is one task, which starts no pool whatever the requested count
+    # one block is one task, which forks no worker whatever the requested count
     assert run_experiment(replace(config, threads=64)) == serial
     assert pools == []
     # 64 requested workers, 3 blocks: 3 tasks need only 3 processes
@@ -213,6 +200,145 @@ def test_pool_size_capped_by_tasks_and_cores(inline_pools):
     assert run_experiment(replace(config, threads=64)) == run_experiment(config)
     assert run_experiment(replace(config, threads=None)) == run_experiment(config)
     assert pools == [(3, 3), (4, 10), (4, 10)]
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        [256, 44] * 8,  # ber_paired's benchmark grid: 8 cells of 300 trials
+        [40] * 27,  # mae_quick_grid's: 27 cells of one small block
+        [256, 256, 256, 232] * 6,  # mae_sweep's
+        [1, 256, 256, 256],
+        [256, 256, 256, 1],
+    ],
+)
+def test_shares_split_tasks_contiguously_by_trials(sizes):
+    for count in range(1, len(sizes) + 1):
+        shares = harness._shares(sizes, count)
+        assert shares == harness._shares(sizes, count)
+        assert len(shares) == count and all(shares)
+        # every task exactly once, in order: the shares are contiguous
+        assert [i for share in shares for i in share] == list(range(len(sizes)))
+    trials = [sum(sizes[i] for i in share) for share in harness._shares(sizes, 2)]
+    assert max(trials) - min(trials) <= max(sizes)
+
+
+# ------------------------------------------------------------- worker processes
+
+# Each case runs in a fresh interpreter with a time limit, so that a run that
+# hangs on a lost worker fails its test instead of stalling the suite.  The
+# interpreter may use two cores, so a run of several blocks forks two workers,
+# and it checks after each run that no worker process or pipe is left.
+WORKER_PRELUDE = """
+import os, signal, sys
+from ambcsync import ExperimentConfig, cli, harness, run_experiment
+
+os.sched_getaffinity = lambda pid: {0, 1}
+os.cpu_count = lambda: 2
+CONFIG = ExperimentConfig(
+    kind="mae_vs_snr", snr_grid_db=(5.0,), trials=4 * harness.BLOCK, pilot_pairs=(8,),
+    pilot_bit_samples=16, tau_choices=(-5, 5), threads=2,
+)
+run_task = harness._run_task
+
+
+def pipes():
+    # the pipes this process holds open; none are seen where there is no /proc
+    found = set()
+    for fd in os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else ():
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:  # the listing's own descriptor, closed by now
+            continue
+        if target.startswith("pipe:"):
+            found.add((fd, target))
+    return found
+
+
+PIPES = pipes()
+
+
+def check_clean():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        pass
+    else:
+        raise AssertionError("a worker process is left")
+    assert pipes() == PIPES, "a pipe is left open"
+"""
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="without os.fork runs are inline")
+
+
+def run_worker_script(body, *argv):
+    # stdout stays block-buffered: PYTHONUNBUFFERED would flush every print
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run(
+        [sys.executable, "-c", WORKER_PRELUDE + body, *argv],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+@needs_fork
+def test_worker_exception_reraised_with_its_type():
+    run_worker_script("""
+# block 0 fails in the first worker, while the second may still run
+def fail_in_block_0(args):
+    if args[-1] == 0:
+        raise ValueError(f"planted failure in block 0 of cell {args[1]}")
+    return run_task(args)
+
+harness._run_task = fail_in_block_0
+try:
+    run_experiment(CONFIG)
+except ValueError as exc:
+    assert str(exc) == "planted failure in block 0 of cell 0", exc
+    assert "in a worker process" in exc.__notes__[-1], exc.__notes__
+else:
+    raise AssertionError("the run did not fail")
+check_clean()
+""")
+
+
+@needs_fork
+def test_killed_worker_fails_the_run_and_the_cli_exits_1(tmp_path):
+    out = tmp_path / "mae.csv"
+    proc = run_worker_script("""
+def die_in_block_3(args):
+    if args[-1] == 3:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return run_task(args)
+
+harness._run_task = die_in_block_3
+try:
+    run_experiment(CONFIG)
+except RuntimeError as exc:
+    assert f"killed by signal {int(signal.SIGKILL)}" in str(exc), exc
+else:
+    raise AssertionError("the run did not fail")
+check_clean()
+code = cli.cli_main(["mae", "--snr", "5", "--pairs", "8", "--np", "16", "--tau", "-5,5",
+                     "--trials", "1024", "--threads", "2", "--out", sys.argv[1]])
+assert code == 1 and not os.path.exists(sys.argv[1]), code
+check_clean()
+""", str(out))
+    assert "error: worker process" in proc.stderr
+
+
+@needs_fork
+def test_unflushed_stdout_printed_once():
+    # stdout is a pipe, so the first line is still in this process's buffer
+    # when the workers fork with a copy of it
+    proc = run_worker_script("""
+print("before the run")
+run_experiment(CONFIG)
+print("after the run")
+check_clean()
+""")
+    assert proc.stdout == "before the run\nafter the run\n"
 
 
 # ------------------------------------------------------------------ determinism
