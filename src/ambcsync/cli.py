@@ -124,7 +124,8 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--seed", type=int, help="root seed")
         p.add_argument("--out", help="output CSV path")
-        p.add_argument("--threads", type=int, help="worker processes (default: the usable CPUs)")
+        p.add_argument("--threads", type=int, help="most worker processes; a small run stays in "
+                       "this process (default: the usable CPUs)")
     return parser
 
 

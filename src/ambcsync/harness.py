@@ -55,13 +55,16 @@ sample-level path (``synthesize_received``, ``estimate_sto``,
 ``detect_frame``) stays in the library, and the tests hold the block
 sampler to it.
 
-With several workers the tasks are cut into one contiguous share per
-worker, balanced by trials, and each share runs in a forked child that
-pickles its count vectors back over a pipe.  A child that ends without a
-result, killed by a signal for instance, fails the run, and no child
-outlives it.  Without ``os.fork`` every task runs in this process.  Blocks
-do not depend on the worker count, and all aggregation is over integer
-accumulators, so results are byte-identical for any worker count.
+A run whose inline time, estimated from the config alone, is below
+``FORK_BREAK_EVEN_US`` runs in the calling process.  A larger one uses one
+process per task, capped by ``threads`` and the usable CPUs: its tasks are
+cut into contiguous shares balanced by trials, the calling process runs the
+last share, and a forked child runs each other one and pickles its count
+vectors back over a pipe.  A child that ends without a result, killed by a
+signal for instance, fails the run, and no child outlives it.  Without
+``os.fork`` every task runs in this process.  Blocks do not depend on the
+worker count, and all aggregation is over integer accumulators, so results
+are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -96,6 +99,10 @@ PREAMBLE_BITS = 1
 # trials per task; fixed, so that the blocks and their substreams do not
 # depend on the worker count
 BLOCK = 256
+
+# estimated inline µs below which a run forks no worker: a child costs 5-10 ms
+# to fork and fault in (the fit and its timings are in BENCH_22.json)
+FORK_BREAK_EVEN_US = 24_000
 
 # frames whose on/off powers lie closer than this relative gap have no
 # contrast to detect, and the law leaves them out by redrawing their fading
@@ -149,8 +156,9 @@ class ExperimentConfig:
         tau_choices: candidate timing offsets; each trial draws uniformly
             from this set (a singleton pins the offset).
         seed: non-negative root seed for the substream derivation.
-        threads: worker count, a positive integer; the default is the
-            available parallelism.
+        threads: the most processes to use, a positive integer; the default
+            is the usable CPUs.  A run too small to pay for a forked worker
+            stays in the calling process, which also works one share.
         channel: channel law; the default is Rayleigh block fading with one
             draw per frame.
         snr_reference: signal power the SNR refers to, ``source`` (the
@@ -387,14 +395,26 @@ def _execute(config: ExperimentConfig) -> list[np.ndarray]:
     blocks = -(-config.trials // BLOCK)
     tasks = [(config, *cell, block) for cell in cells for block in range(blocks)]
     affinity = getattr(os, "sched_getaffinity", None)  # the CPUs this process may use
-    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
-    processes = min(config.threads or cores, len(tasks), cores)
+    processes = _processes(config, len(affinity(0)) if affinity else os.cpu_count() or 1)
     if processes == 1 or not hasattr(os, "fork"):
         outputs = [_run_task(t) for t in tasks]
     else:
         sizes = [min(BLOCK, config.trials - t[-1] * BLOCK) for t in tasks]
         outputs = _run_forked(tasks, _shares(sizes, processes))
     return [np.sum(outputs[i * blocks : (i + 1) * blocks], axis=0) for i in range(len(cells))]
+
+
+def _processes(config: ExperimentConfig, cores: int) -> int:
+    """Processes that run the config's tasks with ``cores`` usable CPUs: one
+    while the estimated inline time is below ``FORK_BREAK_EVEN_US``, else one
+    per task, capped by ``threads`` and ``cores``.  Reads no clock."""
+    # an axis that a kind does not sweep holds one value (see _KINDS)
+    cells = len(config.snr_grid_db) * len(config.pilot_pairs) * len(config.symbol_samples)
+    tasks = cells * -(-config.trials // BLOCK)
+    per_task, per_trial = _KINDS[config.kind][2]
+    if per_task * tasks + per_trial * cells * config.trials < FORK_BREAK_EVEN_US:
+        return 1
+    return min(config.threads or cores, tasks, cores)
 
 
 def _shares(sizes: list[int], count: int) -> list[range]:
@@ -410,14 +430,15 @@ def _shares(sizes: list[int], count: int) -> list[range]:
 
 
 def _run_forked(tasks: list, shares: list[range]) -> list[np.ndarray]:
-    """Run each share of ``tasks`` in a child forked for it; returns the
-    outputs in task order.  A child's exception is raised here, its traceback
-    added as a note, and a child that ends with no result raises RuntimeError.
-    Every child is reaped, killed first if it still runs, and every pipe closed.
+    """Run the last share of ``tasks`` here and each other share in a child
+    forked for it; returns the outputs in task order.  A child's exception is
+    raised here, its traceback added as a note, and a child that ends with no
+    result raises RuntimeError.  Every child is reaped, killed first if it
+    still runs, and every pipe closed, also when this process's share raises.
     """
     children = []  # (pid, read end of its pipe) until the child is reaped
     try:
-        for share in shares:
+        for share in shares[:-1]:
             read_end, write_end = os.pipe()
             try:
                 pid = os.fork()
@@ -429,6 +450,8 @@ def _run_forked(tasks: list, shares: list[range]) -> list[np.ndarray]:
             finally:
                 os.close(write_end)
             children.append((pid, open(read_end, "rb")))
+        # the module global, so that a wrapper installed on it runs here too
+        own = [_run_task(tasks[i]) for i in shares[-1]]
         outputs = []
         while children:
             pid, pipe = children[0]
@@ -443,7 +466,7 @@ def _run_forked(tasks: list, shares: list[range]) -> list[np.ndarray]:
             if isinstance(result, BaseException):
                 raise result
             outputs.extend(result)
-        return outputs
+        return outputs + own
     finally:
         for pid, pipe in children:
             pipe.close()
@@ -507,11 +530,11 @@ def _ber(config: ExperimentConfig, counts: list[np.ndarray]) -> BerResult:
 
 
 # kind -> (aggregator of the cells' summed counts, the config fields the kind
-# does not sweep and so takes one value of)
+# does not sweep and so takes one value of, inline µs per task and per trial)
 _KINDS = {
-    "mae_vs_snr": (_mae, ("symbol_samples",)),
-    "error_hist": (_error_hist, ("snr_grid_db", "pilot_pairs", "symbol_samples")),
-    "ber_compare": (_ber, ("pilot_pairs",)),
+    "mae_vs_snr": (_mae, ("symbol_samples",), (85, 1.6)),
+    "error_hist": (_error_hist, ("snr_grid_db", "pilot_pairs", "symbol_samples"), (85, 1.6)),
+    "ber_compare": (_ber, ("pilot_pairs",), (300, 16)),
 }
 
 

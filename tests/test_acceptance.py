@@ -16,6 +16,7 @@ from ambcsync import (
     ExperimentConfig,
     ed_threshold,
     estimate_sto,
+    harness,
     run_experiment,
 )
 from oracles import exact_two_segment, full_log_likelihood
@@ -280,7 +281,9 @@ def test_criterion_7_threshold_correctness():
 # ------------------------------------------------------------------ criterion 8
 
 
-def test_criterion_8_worker_count_determinism():
+def test_criterion_8_worker_count_determinism(monkeypatch):
+    # these runs are too small to pay for a worker: fork for them anyway
+    monkeypatch.setattr(harness, "FORK_BREAK_EVEN_US", 0)
     configs = {
         "mae": ExperimentConfig(
             kind="mae_vs_snr", snr_grid_db=(5.0, 10.0), trials=600, pilot_pairs=(10,),

@@ -156,10 +156,17 @@ def test_non_finite_snr_rejected(snr):
 
 
 @pytest.fixture
-def inline_workers(monkeypatch):
+def forked(monkeypatch):
+    """Fork workers for runs of any size: the configs here are too small to
+    pay for a worker, and would otherwise run inline."""
+    monkeypatch.setattr(harness, "FORK_BREAK_EVEN_US", 0)
+
+
+@pytest.fixture
+def inline_workers(monkeypatch, forked):
     """Run the tasks of every would-be forked run inline, on a machine of 8
-    cores, 4 of which this process may run on; returns the (processes, tasks)
-    of each such run."""
+    cores, 4 of which this process may run on, whatever the run's size;
+    returns the (processes, tasks) of each such run."""
     runs = []
 
     def run_inline(tasks, shares):
@@ -223,18 +230,51 @@ def test_shares_split_tasks_contiguously_by_trials(sizes):
     assert max(trials) - min(trials) <= max(sizes)
 
 
+# The benchmark's workloads and criterion 1's run, written out, at 2 usable
+# cores: the small MAE runs are estimated below the break-even and stay
+# inline, the BER grid and the 100k-trial run fork
+FORK_DECISIONS = [
+    (dict(kind="mae_vs_snr", snr_grid_db=tuple(2.5 * i for i in range(9)), trials=40,
+          pilot_pairs=(20, 30, 40), pilot_bit_samples=30, tau_choices=(-10, 10)), 1),
+    (dict(kind="mae_vs_snr", snr_grid_db=(5.0, 15.0), trials=1000, pilot_pairs=(20, 30, 40),
+          pilot_bit_samples=30, tau_choices=(-10, 10)), 1),
+    (dict(kind="ber_compare", snr_grid_db=(5.0, 10.0, 15.0, 20.0), trials=300,
+          pilot_pairs=(30,), pilot_bit_samples=30, symbol_samples=(50, 100), data_symbols=50,
+          tau_choices=tuple(range(-10, -4)) + tuple(range(5, 11))), 2),
+    (dict(kind="mae_vs_snr", snr_grid_db=(5.0, 15.0), trials=100_000,
+          pilot_pairs=(20, 30, 40), pilot_bit_samples=30, tau_choices=(-10, 10), seed=101,
+          channel=ChannelModel("static", rho=0.5), snr_reference="mean_received"), 2),
+]
+
+
+@pytest.mark.parametrize(
+    "fields, processes", FORK_DECISIONS,
+    ids=["mae_quick_grid", "mae_sweep", "ber_paired", "criterion_1"],
+)
+def test_fork_decision_is_a_function_of_the_config(fields, processes):
+    config = ExperimentConfig(**fields)
+    assert harness._processes(config, 2) == processes
+    assert [harness._processes(config, 2) for _ in range(5)] == [processes] * 5
+    # threads caps the count: one thread is one process on any machine
+    for cores in (1, 2, 64):
+        assert harness._processes(replace(config, threads=1), cores) == 1
+    assert harness._processes(config, 1) == 1
+
+
 # ------------------------------------------------------------- worker processes
 
 # Each case runs in a fresh interpreter with a time limit, so that a run that
 # hangs on a lost worker fails its test instead of stalling the suite.  The
-# interpreter may use two cores, so a run of several blocks forks two workers,
-# and it checks after each run that no worker process or pipe is left.
+# interpreter may use two cores and forks for runs of any size, so a run of
+# several blocks works one share and forks one worker for the other, and it
+# checks after each run that no worker process or pipe is left.
 WORKER_PRELUDE = """
-import os, signal, sys
+import os, signal, sys, time
 from ambcsync import ExperimentConfig, cli, harness, run_experiment
 
 os.sched_getaffinity = lambda pid: {0, 1}
 os.cpu_count = lambda: 2
+harness.FORK_BREAK_EVEN_US = 0
 CONFIG = ExperimentConfig(
     kind="mae_vs_snr", snr_grid_db=(5.0,), trials=4 * harness.BLOCK, pilot_pairs=(8,),
     pilot_bit_samples=16, tau_choices=(-5, 5), threads=2,
@@ -304,15 +344,45 @@ check_clean()
 
 
 @needs_fork
+def test_exception_in_the_parents_share_reraised_and_the_worker_reaped():
+    run_worker_script("""
+# blocks 2 and 3 are this process's share; the worker is still busy on
+# block 0 when block 3 fails, and ends only when killed or orphaned
+PARENT = os.getpid()
+ran_here = []
+
+def fail_in_block_3(args):
+    while os.getppid() == PARENT:
+        time.sleep(0.01)
+    ran_here.append(args[-1])
+    if args[-1] == 3:
+        raise KeyError("planted failure in block 3")
+    return run_task(args)
+
+harness._run_task = fail_in_block_3
+try:
+    run_experiment(CONFIG)
+except KeyError as exc:
+    assert exc.args == ("planted failure in block 3",), exc
+    assert not getattr(exc, "__notes__", None), exc.__notes__
+else:
+    raise AssertionError("the run did not fail")
+assert ran_here == [2, 3], ran_here
+check_clean()
+""")
+
+
+@needs_fork
 def test_killed_worker_fails_the_run_and_the_cli_exits_1(tmp_path):
     out = tmp_path / "mae.csv"
     proc = run_worker_script("""
-def die_in_block_3(args):
-    if args[-1] == 3:
+# block 1 falls in the worker's share; blocks 2 and 3 run in this process
+def die_in_block_1(args):
+    if args[-1] == 1:
         os.kill(os.getpid(), signal.SIGKILL)
     return run_task(args)
 
-harness._run_task = die_in_block_3
+harness._run_task = die_in_block_1
 try:
     run_experiment(CONFIG)
 except RuntimeError as exc:
@@ -344,6 +414,7 @@ check_clean()
 # ------------------------------------------------------------------ determinism
 
 
+@pytest.mark.usefixtures("forked")
 def test_mae_deterministic_and_worker_independent():
     config = mae_config()
     first = run_experiment(config)
@@ -369,6 +440,7 @@ def test_default_channel_fields_change_nothing():
         assert run_experiment(replace(config, **spelled)).to_csv() == implicit
 
 
+@pytest.mark.usefixtures("forked")
 def test_static_channel_worker_independent():
     static = dict(channel=ChannelModel("static", rho=0.5), snr_reference="mean_received")
     configs = {
@@ -384,6 +456,7 @@ def test_static_channel_worker_independent():
         assert len(outputs) == 1, name
 
 
+@pytest.mark.usefixtures("forked")
 @pytest.mark.parametrize(
     "trials", [harness.BLOCK - 1, harness.BLOCK, harness.BLOCK + 1, 3 * harness.BLOCK + 7]
 )
@@ -410,6 +483,7 @@ def test_single_trial_repeatable():
     assert run_experiment(config) == run_experiment(config)
 
 
+@pytest.mark.usefixtures("forked")
 def test_hist_worker_independent():
     config = ExperimentConfig(
         kind="error_hist", snr_grid_db=(10.0,), trials=500, pilot_pairs=(8,),
