@@ -61,24 +61,30 @@ def collect_windows(w: Waveform) -> np.ndarray:
     return region.reshape(cfg.pilot_pairs, 2 * n_p)[:, n_p:]
 
 
-def _profile(col_sums: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _profile(col_sums: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Plug-in segment variances s1, s2 and the profile log-likelihood at
-    n0 = 2..N_p-1 for column power sums of shape (..., N_p); each result has
-    shape (..., N_p - 2), its last axis indexed by n0 - 2.
+    n0 = 2..N_p-1 for column power sums of shape (..., N_p), each matrix of
+    ``rows`` rows (one count, or one per matrix, shape (...)); each result
+    has shape (..., N_p - 2), its last axis indexed by n0 - 2.
 
     Segment 1 is columns [1..n0], segment 2 is [n0+1..N_p] (1-indexed).
+    A matrix's values do not depend on the other matrices or on how their
+    row counts are given.
     """
     sums = np.asarray(col_sums, dtype=float)
     cols = sums.shape[-1]
     prefix = np.cumsum(sums, axis=-1)
-    candidates = np.arange(2, cols)
+    candidates = np.arange(2.0, cols)
+    # samples in each segment, exact in floats
+    first = np.multiply.outer(rows, candidates)
+    second = np.multiply.outer(rows, cols - candidates)
     head = prefix[..., 1:-1]
-    s1 = head / (rows * candidates)
-    s2 = (prefix[..., -1:] - head) / (rows * (cols - candidates))
+    s1 = head / first
+    s2 = (prefix[..., -1:] - head) / second
     bad = (s1 <= 0.0) | (s2 <= 0.0)
     if bad.any():
         raise DegenerateSegmentError(f"zero-power segment at n0={2 + np.nonzero(bad)[-1].min()}")
-    loglik = -candidates * rows * np.log(s1) - (cols - candidates) * rows * np.log(s2)
+    loglik = -first * np.log(s1) - second * np.log(s2)
     return s1, s2, loglik
 
 
@@ -88,13 +94,15 @@ def _offset(n0_hat, cols: int):
     return np.where(n0_hat < cols / 2, -n0_hat, cols - n0_hat)
 
 
-def scan_sto(col_sums: np.ndarray, rows: int) -> np.ndarray:
+def scan_sto(col_sums: np.ndarray, rows) -> np.ndarray:
     """Scan n0 over {2..N_p-1} for each pilot matrix given by its column power sums.
 
     ``col_sums`` has shape (..., N_p): entry j is the summed power of column
-    j over the matrix's ``rows`` rows, which is all the profile likelihood
-    reads.  Returns the signed offset estimates, shape (...).  Ties resolve
-    to the smallest candidate.
+    j over the matrix's rows, which is all the profile likelihood reads.
+    ``rows`` counts them: one int for every matrix, or one per matrix, shape
+    (...); either way a matrix gets the estimate it gets alone.  Returns the
+    signed offset estimates, shape (...).  Ties resolve to the smallest
+    candidate.
     """
     _, _, loglik = _profile(col_sums, rows)
     n0_hat = 2 + np.argmax(loglik, axis=-1)  # first maximum: smallest-n0 tie-break

@@ -5,28 +5,31 @@ estimate versus SNR, the empirical distribution of the estimation error,
 and a paired bit-error-rate comparison (no compensation / estimated
 compensation / ideal synchronization).
 
-Each task is one fixed block of ``BLOCK`` trials of one grid cell.  It owns
-the substream derived from the root seed and the (cell, block) counters.
-Every kind runs one prologue on it, one array for the whole block at a
-time: the block's offsets, then its on/off powers (the static state, or one
-fading draw per frame with each degenerate draw redrawn), then the kind's
-sampler, whose estimates and bit errors fill the one count vector.  No
-experiment kind synthesizes samples or loops over its trials.
+The run's frames (trials) are numbered cell by cell, and each task is one
+batch of ``BLOCK`` consecutive frames, which may span several grid cells.
+It owns the substream derived from the root seed and the batch counter.
+Every kind runs one prologue on it, one array for the whole batch at a
+time: the frames' offsets, then their on/off powers (the static state, or
+one fading draw per frame with each degenerate draw redrawn), each at its
+own cell's noise power, then the kind's sampler, cell by cell in frame
+order, whose estimates and bit errors are counted per cell.  No experiment
+kind synthesizes samples or loops over its trials.
 
 Every statistic here reads the received samples only through the energies
 of stretches of them.  Under one channel per frame a sample of bit b is
 CN(0, p_b), so its energy is p_b * Exp(1), and the energy of m samples
 inside one bit is p_b * Gamma(m, 1), independent of every disjoint stretch.
-The blocks draw those energies directly.
+The batches draw those energies directly.
 
 An MAE or histogram frame has no payload, and its trial is only the pilot
-scan, which reads the pilot through its N_p column power sums
-(``scan_sto``).  Column j of the L "1" windows sums L samples, i.e.
-p * Gamma(L, 1): p = p1 where the offset window still covers its "1" bit
-(0 <= tau + j < N_p), and p = p0 where it reads a neighbour.  That is exact:
-every "1" window's neighbours are "0" bits (the pilot "0" before it, and
-the pilot "0" or the guard bit after it), and no two windows share a
-sample, because the windows lie 2 N_p apart and |tau| < N_p/2.
+scan, which reads the pilot through its N_p column power sums (``scan_sto``,
+once per batch, each frame with its cell's L).  Column j of the L "1"
+windows sums L samples, i.e. p * Gamma(L, 1): p = p1 where the offset
+window still covers its "1" bit (0 <= tau + j < N_p), and p = p0 where it
+reads a neighbour.  That is exact: every "1" window's neighbours are "0"
+bits (the pilot "0" before it, and the pilot "0" or the guard bit after it),
+and no two windows share a sample, because the windows lie 2 N_p apart and
+|tau| < N_p/2.
 
 A BER frame adds K payload bits and a trailing guard "0".  Its trial reads
 the L pilot rows and three windows per payload bit: the ideal one (the
@@ -42,7 +45,8 @@ p * Exp(1) per sample, because several readers share their samples:
     covers [tau, N_p) of that bit for tau > 0 and [0, N_p + tau) for
     tau < 0.  When |r| > N the windows of bits 0 and 1 both reach into it.
 
-The last row is built from those samples and the block is scanned at once.
+The last row is built from those samples and the cell's frames are
+scanned at once.
 Bits 1..K-1 and the guard bit are then cut where the two offset clocks
 cross them, at tau mod N and r mod N, into at most three segments, each
 drawn as p_b * Gamma(length).  Every window ends on a drawn sample or on a
@@ -52,17 +56,17 @@ other and with the pilot.  No window starts before the last pilot "1" bit
 (r > -N_p) or ends after the guard bit (the config bounds every clock by
 N).  Each window is decided against its trial's threshold.  The
 sample-level path (``synthesize_received``, ``estimate_sto``,
-``detect_frame``) stays in the library, and the tests hold the block
-sampler to it.
+``detect_frame``) stays in the library, and the tests hold the batch
+samplers to it.
 
 A run whose inline time, estimated from the config alone, is below
 ``FORK_BREAK_EVEN_US`` runs in the calling process.  A larger one uses one
 process per task, capped by ``threads`` and the usable CPUs: its tasks are
 cut into contiguous shares balanced by trials, the calling process runs the
-last share, and a forked child runs each other one and pickles its count
-vectors back over a pipe.  A child that ends without a result, killed by a
+last share, and a forked child runs each other one and pickles its counts
+back over a pipe.  A child that ends without a result, killed by a
 signal for instance, fails the run, and no child outlives it.  Without
-``os.fork`` every task runs in this process.  Blocks do not depend on the
+``os.fork`` every task runs in this process.  Batches do not depend on the
 worker count, and all aggregation is over integer accumulators, so results
 are byte-identical for any worker count.
 """
@@ -96,12 +100,12 @@ from .frame import apply_sto, build_bit_sequence, synthesize_received  # noqa: F
 # every experiment frame has one wake-up bit ahead of the pilot
 PREAMBLE_BITS = 1
 
-# trials per task; fixed, so that the blocks and their substreams do not
-# depend on the worker count
+# frames per task (a batch); fixed, so that the batches and their substreams
+# do not depend on the worker count
 BLOCK = 256
 
 # estimated inline µs below which a run forks no worker: a child costs 5-10 ms
-# to fork and fault in (the fit and its timings are in BENCH_22.json)
+# to fork and fault in (BENCH_22.json; the per-batch fit is in BENCH_23.json)
 FORK_BREAK_EVEN_US = 24_000
 
 # frames whose on/off powers lie closer than this relative gap have no
@@ -211,14 +215,12 @@ class ExperimentConfig:
         # max(tau) + ceil(N_p/2) - 1 samples late, which the BER frame's guard
         # bit must absorb
         worst = max(self.tau_choices) + (self.pilot_bit_samples + 1) // 2 - 1
-        for snr, _, frame in _cells(self):
+        for snr, _, frame, noise in _cells(self):
             for tau in self.tau_choices:
                 frame.check_tau(tau)
                 frame.check_clock(tau)
             if self.kind == "ber_compare":
                 frame.check_clock(worst)
-            # resolving the noise power also checks the SNR's range and reference
-            noise = self.channel.noise_for_snr(snr, self.snr_reference)
             if self.channel.kind != "static":
                 continue
             # every trial sees this one state, which cannot be redrawn
@@ -265,74 +267,105 @@ class BerResult:
         return _csv("snr_db,N,ber_no_comp,ber_comp,ber_ideal,bits", self.rows)
 
 
-def _cells(config: ExperimentConfig) -> list[tuple[float, int, FrameConfig]]:
-    """(SNR, swept value, frame) for each grid cell, in row order: the BER
-    experiment sweeps N at its one L, the others sweep L with no payload."""
+def _cells(config: ExperimentConfig) -> list[tuple[float, int, FrameConfig, float]]:
+    """(SNR, swept value, frame, noise power) for each grid cell, in row order:
+    the BER experiment sweeps N at its one L, the others sweep L with no payload."""
     def frame(pairs: int, k: int, n: int) -> FrameConfig:
         return FrameConfig(PREAMBLE_BITS, pairs, config.pilot_bit_samples, k, n)
 
     snrs = config.snr_grid_db
     if config.kind == "ber_compare":
         pairs, k = config.pilot_pairs[0], config.data_symbols
-        return [(snr, n, frame(pairs, k, n)) for snr in snrs for n in config.symbol_samples]
-    n = config.symbol_samples[0]
-    return [(snr, pairs, frame(pairs, 0, n)) for snr in snrs for pairs in config.pilot_pairs]
+        grid = [(snr, n, frame(pairs, k, n)) for snr in snrs for n in config.symbol_samples]
+    else:
+        n = config.symbol_samples[0]
+        grid = [(snr, pairs, frame(pairs, 0, n)) for snr in snrs for pairs in config.pilot_pairs]
+    # resolving the noise power also checks the SNR's range and reference
+    return [(*cell, config.channel.noise_for_snr(cell[0], config.snr_reference)) for cell in grid]
 
 
 def _run_task(args) -> np.ndarray:
-    """Run one block of one cell; every experiment kind runs this task.
+    """Run one batch of frames; every experiment kind runs this task.
 
-    ``args`` is (config, cell index, frame, noise power, block); ``_execute``
-    builds each cell's frame and noise power once per run.
+    ``args`` is (config, cells, batch), with ``cells`` as ``_cells`` builds
+    them once per run.  The run's frames are numbered cell by cell, and batch
+    b holds frames b * BLOCK onwards, up to ``BLOCK`` of them, from one cell
+    or several.
 
-    Returns int64 counts: entry i < 2 N_p + 1 counts the signed estimation
-    error i - N_p (|error| can never exceed N_p), and the last three entries
-    are the payload bit errors under ideal sync, no compensation and the
-    estimated compensation (zero for a frame without payload).
+    Returns int64 counts, one row per cell the batch reaches, the first being
+    cell b * BLOCK // trials: entry i < 2 N_p + 1 counts the signed
+    estimation error i - N_p (|error| can never exceed N_p), and the last
+    three entries are the payload bit errors under ideal sync, no
+    compensation and the estimated compensation (zero for a frame without
+    payload).
     """
-    config, cell_index, frame, noise, block = args
-    n = min(BLOCK, config.trials - block * BLOCK)
-    rng = trial_rng(config.seed, cell_index, block)
+    config, cells, batch = args
+    trials, span = config.trials, config.pilot_bit_samples
+    start = batch * BLOCK
+    stop = min(start + BLOCK, len(cells) * trials)
+    first, last = start // trials, (stop - 1) // trials
+    reached = cells[first : last + 1]
+    n = stop - start
+    # where each reached cell's frames begin and end within the batch
+    edges = [0] + [c * trials - start for c in range(first + 1, last + 1)] + [n]
+    sizes = [b - a for a, b in zip(edges, edges[1:])]
+    rng = trial_rng(config.seed, batch)
     tau = np.asarray(config.tau_choices)[rng.integers(len(config.tau_choices), size=n)]
-    p0, p1 = _channel_powers(rng, config.channel, noise, n)
-    span, pairs = frame.pilot_bit_samples, frame.pilot_pairs
-    if frame.data_symbols:
-        tau_hat, bit_errors = _payload_frames(rng, frame, tau, p0, p1)
+    noise = np.repeat([cell_noise for *_, cell_noise in reached], sizes)
+    p0, p1 = _channel_powers(rng, config.channel, noise)
+    if config.kind == "ber_compare":
+        # N differs between cells, so each cell's frames are drawn apart
+        tau_hat = np.empty(n, dtype=np.int64)
+        bit_errors = np.empty((n, 3), dtype=np.int64)
+        for (_, _, frame, _), a, b in zip(reached, edges, edges[1:]):
+            tau_hat[a:b], bit_errors[a:b] = _payload_frames(rng, frame, tau[a:b], p0[a:b], p1[a:b])
+        bit_errors = np.add.reduceat(bit_errors, edges[:-1], axis=0)
     else:
-        tau_hat = scan_sto(_pilot_sums(rng, pairs, tau, span, p0, p1), pairs)
-        bit_errors = np.zeros((n, 3), dtype=np.int64)
-    errors = np.bincount(tau - tau_hat + span, minlength=2 * span + 1)
-    return np.concatenate([errors, bit_errors.sum(axis=0)]).astype(np.int64)
+        pairs = [frame.pilot_pairs for _, _, frame, _ in reached]
+        sums = _pilot_sums(rng, pairs, edges, tau, span, p0, p1)
+        # a per-frame L only where the batch mixes them; a scalar scans faster
+        tau_hat = scan_sto(sums, pairs[0] if len(set(pairs)) == 1 else np.repeat(pairs, sizes))
+        bit_errors = np.zeros((len(reached), 3), dtype=np.int64)
+    width = 2 * span + 1
+    cell = np.repeat(np.arange(len(reached)) * width, sizes)
+    errors = np.bincount(cell + tau - tau_hat + span, minlength=len(reached) * width)
+    return np.concatenate([errors.reshape(-1, width), bit_errors], axis=1)
 
 
-def _channel_powers(rng, channel, noise, n) -> tuple[np.ndarray, np.ndarray]:
-    """The block's on/off powers as (n, 1) columns: the static state (which the
-    config checks), or one fading draw per frame, degenerate ones redrawn."""
+def _channel_powers(rng, channel, noise) -> tuple[np.ndarray, np.ndarray]:
+    """On/off powers as (n, 1) columns for frames of noise powers ``noise``,
+    shape (n,): the static state (which the config checks), or one fading
+    draw per frame, degenerate ones redrawn."""
     if channel.kind == "static":
         ch = channel.static_state(noise)
-        return np.full((n, 1), ch.p0), np.full((n, 1), ch.p1)
-    ch = draw_channel(rng, noise, n)
+        return ch.p0[:, None], ch.p1[:, None]
+    ch = draw_channel(rng, noise, noise.size)
     p0, p1 = ch.p0, ch.p1
     redraw = np.flatnonzero(_degenerate(ch))
     while redraw.size:
-        ch = draw_channel(rng, noise, redraw.size)
+        ch = draw_channel(rng, noise[redraw], redraw.size)
         p0[redraw], p1[redraw] = ch.p0, ch.p1
         redraw = redraw[_degenerate(ch)]
     return p0[:, None], p1[:, None]
 
 
-def _pilot_sums(rng, rows, tau, span, p0, p1) -> np.ndarray:
-    """Column power sums of ``rows`` pilot rows per frame, shape (n, N_p):
-    column j is p * Gamma(rows), with p = p1 where the offset window still
-    covers its "1" bit (0 <= tau + j < N_p), else p0."""
+def _pilot_sums(rng, rows, edges, tau, span, p0, p1) -> np.ndarray:
+    """Column power sums of the frames' pilot rows, shape (n, N_p), frames
+    edges[i] to edges[i + 1] having ``rows[i]`` rows: column j is
+    p * Gamma(rows), with p = p1 where the offset window still covers its
+    "1" bit (0 <= tau + j < N_p), else p0."""
+    sums = np.empty((tau.size, span))
+    for count, a, b in zip(rows, edges, edges[1:]):
+        rng.standard_gamma(count, out=sums[a:b])
     shifted = tau[:, None] + np.arange(span)
     inside = (shifted >= 0) & (shifted < span)
-    return rng.standard_gamma(rows, size=(tau.size, span)) * np.where(inside, p1, p0)
+    sums *= np.where(inside, p1, p0)
+    return sums
 
 
 def _payload_frames(rng, frame, tau, p0, p1) -> tuple[np.ndarray, np.ndarray]:
-    """Draw a block of frames with payload through their window energies and
-    decide them (see the module docstring).
+    """Draw one cell's frames of a batch, with payload, through their window
+    energies and decide them (see the module docstring).
 
     Returns each trial's offset estimate, shape (n,), and its payload bit
     errors under ideal sync, no compensation and the estimated compensation,
@@ -345,7 +378,7 @@ def _payload_frames(rng, frame, tau, p0, p1) -> tuple[np.ndarray, np.ndarray]:
 
     # pilot rows 0..L-2 as column sums; the last pilot pair and payload bit 0
     # sample by sample, positions -2 N_p .. N - 1 from the payload's start
-    sums = _pilot_sums(rng, pairs - 1, tau, span, p0, p1)
+    sums = _pilot_sums(rng, [pairs - 1], [0, n], tau, span, p0, p1)
     near = rng.standard_exponential((n, 2 * span + width))
     near[:, :span] *= p0
     near[:, span : 2 * span] *= p1
@@ -367,7 +400,7 @@ def _payload_frames(rng, frame, tau, p0, p1) -> tuple[np.ndarray, np.ndarray]:
     # difference of the energies at its two ends
     energy = np.concatenate([np.zeros((n, 1)), near, segments.reshape(n, 3 * k)], axis=1)
     np.cumsum(energy, axis=1, out=energy)
-    del near, segments  # the window step below sets the block's peak memory
+    del near, segments  # the window step below sets the batch's peak memory
 
     def windows(clock):
         # a clock crosses every later bit at the same offset: cut 0, 1 or 2
@@ -386,22 +419,23 @@ def _payload_frames(rng, frame, tau, p0, p1) -> tuple[np.ndarray, np.ndarray]:
     return tau_hat, np.stack(bit_errors, axis=1)
 
 
-def _execute(config: ExperimentConfig) -> list[np.ndarray]:
-    """Run all (cell, block) tasks; returns each cell's summed counts."""
-    cells = [
-        (ci, frame, config.channel.noise_for_snr(snr, config.snr_reference))
-        for ci, (snr, _, frame) in enumerate(_cells(config))
-    ]
-    blocks = -(-config.trials // BLOCK)
-    tasks = [(config, *cell, block) for cell in cells for block in range(blocks)]
+def _execute(config: ExperimentConfig, cells: list) -> np.ndarray:
+    """Run every batch of the run's frames; returns the counts summed per
+    cell, one row per cell of ``cells`` (see ``_run_task``)."""
+    frames = len(cells) * config.trials
+    tasks = [(config, cells, batch) for batch in range(-(-frames // BLOCK))]
     affinity = getattr(os, "sched_getaffinity", None)  # the CPUs this process may use
     processes = _processes(config, len(affinity(0)) if affinity else os.cpu_count() or 1)
     if processes == 1 or not hasattr(os, "fork"):
         outputs = [_run_task(t) for t in tasks]
     else:
-        sizes = [min(BLOCK, config.trials - t[-1] * BLOCK) for t in tasks]
+        sizes = [min(BLOCK, frames - batch * BLOCK) for batch in range(len(tasks))]
         outputs = _run_forked(tasks, _shares(sizes, processes))
-    return [np.sum(outputs[i * blocks : (i + 1) * blocks], axis=0) for i in range(len(cells))]
+    counts = np.zeros((len(cells), outputs[0].shape[1]), dtype=np.int64)
+    for batch, output in enumerate(outputs):
+        first = batch * BLOCK // config.trials
+        counts[first : first + len(output)] += output
+    return counts
 
 
 def _processes(config: ExperimentConfig, cores: int) -> int:
@@ -410,7 +444,7 @@ def _processes(config: ExperimentConfig, cores: int) -> int:
     per task, capped by ``threads`` and ``cores``.  Reads no clock."""
     # an axis that a kind does not sweep holds one value (see _KINDS)
     cells = len(config.snr_grid_db) * len(config.pilot_pairs) * len(config.symbol_samples)
-    tasks = cells * -(-config.trials // BLOCK)
+    tasks = -(-cells * config.trials // BLOCK)
     per_task, per_trial = _KINDS[config.kind][2]
     if per_task * tasks + per_trial * cells * config.trials < FORK_BREAK_EVEN_US:
         return 1
@@ -497,18 +531,18 @@ def _serve_share(tasks: list, share: range, write_end: int) -> None:
         os._exit(code)
 
 
-def _mae(config: ExperimentConfig, counts: list[np.ndarray]) -> MaeResult:
+def _mae(config: ExperimentConfig, cells: list, counts: np.ndarray) -> MaeResult:
     """Mean absolute estimation error per (SNR, L) cell."""
     span = config.pilot_bit_samples
     abs_errors = np.abs(np.arange(-span, span + 1))
     rows = []
-    for (snr, pairs, _), c in zip(_cells(config), counts):
+    for (snr, pairs, _, _), c in zip(cells, counts):
         abs_sum = int(abs_errors @ c[: 2 * span + 1])
         rows.append((snr, pairs, abs_sum / config.trials, config.trials))
     return MaeResult(rows=tuple(rows))
 
 
-def _error_hist(config: ExperimentConfig, counts: list[np.ndarray]) -> ErrorHistResult:
+def _error_hist(config: ExperimentConfig, cells: list, counts: np.ndarray) -> ErrorHistResult:
     """Empirical pmf of the signed estimation error at one (SNR, L) point."""
     span = config.pilot_bit_samples
     probs = {
@@ -519,28 +553,29 @@ def _error_hist(config: ExperimentConfig, counts: list[np.ndarray]) -> ErrorHist
     return ErrorHistResult(probabilities=probs)
 
 
-def _ber(config: ExperimentConfig, counts: list[np.ndarray]) -> BerResult:
+def _ber(config: ExperimentConfig, cells: list, counts: np.ndarray) -> BerResult:
     """Paired BER under no compensation, estimated compensation, and ideal sync."""
     bits = config.trials * config.data_symbols
     rows = []
-    for (snr, n, _), c in zip(_cells(config), counts):
+    for (snr, n, _, _), c in zip(cells, counts):
         e_ideal, e_nocomp, e_comp = (int(e) for e in c[-3:])
         rows.append((snr, n, e_nocomp / bits, e_comp / bits, e_ideal / bits, bits))
     return BerResult(rows=tuple(rows))
 
 
-# kind -> (aggregator of the cells' summed counts, the config fields the kind
+# kind -> (aggregator of the cells and their summed counts, the config fields the kind
 # does not sweep and so takes one value of, inline µs per task and per trial)
 _KINDS = {
-    "mae_vs_snr": (_mae, ("symbol_samples",), (85, 1.6)),
-    "error_hist": (_error_hist, ("snr_grid_db", "pilot_pairs", "symbol_samples"), (85, 1.6)),
-    "ber_compare": (_ber, ("pilot_pairs",), (300, 16)),
+    "mae_vs_snr": (_mae, ("symbol_samples",), (130, 1.6)),
+    "error_hist": (_error_hist, ("snr_grid_db", "pilot_pairs", "symbol_samples"), (130, 1.6)),
+    "ber_compare": (_ber, ("pilot_pairs",), (390, 15)),
 }
 
 
 def run_experiment(config: ExperimentConfig) -> MaeResult | ErrorHistResult | BerResult:
     """Run every trial of the experiment and aggregate them by its kind."""
-    return _KINDS[config.kind][0](config, _execute(config))
+    cells = _cells(config)
+    return _KINDS[config.kind][0](config, cells, _execute(config, cells))
 
 
 def write_csv(text: str, path: str) -> None:

@@ -32,8 +32,9 @@ class ChannelState:
     ) -> "ChannelState":
         """The received law: a sample of bit B is h*s + zeta*g*B*s + w with
         unit-power source s ~ CN(0, 1) and noise w ~ CN(0, noise), i.e. a
-        CN(0, p_B) draw with p_B = |h + zeta*g*B|^2 + noise."""
-        if not 0.0 <= noise < np.inf:
+        CN(0, p_B) draw with p_B = |h + zeta*g*B|^2 + noise.  The arguments
+        may be arrays that broadcast together, one entry per block."""
+        if not np.logical_and(0.0 <= noise, noise < np.inf).all():
             raise ValueError(f"noise power must be finite and >= 0, got {noise}")
         return cls(p0=abs(h) ** 2 + noise, p1=abs(h + zeta * g) ** 2 + noise)
 
@@ -43,7 +44,8 @@ def draw_channel(rng: np.random.Generator, noise: float, n: int | None = None) -
 
     Args:
         rng: seeded generator; six normal deviates are consumed per block.
-        noise: noise power sigma_w^2 (the source has unit power).
+        noise: noise power sigma_w^2 (the source has unit power), or one
+            per block, shape (n,).
         n: draw this many blocks at once; the state's p0 and p1 are then
             arrays of shape (n,).
     """

@@ -235,6 +235,29 @@ def test_scan_core_matches_estimate_sto():
         assert int(scan_sto(power_sums(batch[-1]), rows)) == expected[-1]
 
 
+def test_scan_with_a_row_count_per_matrix_matches_scans_per_count():
+    # a batch of frames from several cells, in runs of one pilot length each,
+    # scans at once with one row count per frame and gives exactly what a
+    # scan of each run with its scalar count gives: 10,000 frames of
+    # gamma column sums with a random change point and power ratio
+    rng = np.random.default_rng(64)
+    cols, frames = 30, 10_000
+    sizes = rng.multinomial(frames - 40, np.full(40, 1 / 40)) + 1
+    counts = rng.integers(1, 41, size=sizes.size)
+    rows = np.repeat(counts, sizes)
+    split = rng.integers(2, cols, size=(frames, 1))
+    ratio = rng.uniform(0.5, 2.0, size=(frames, 1))
+    sums = rng.standard_gamma(rows[:, None], size=(frames, cols))
+    sums *= np.where(np.arange(cols) < split, 1.0, ratio)
+    whole = scan_sto(sums, rows)
+    ends = np.cumsum(sizes)
+    runs = [scan_sto(sums[end - size : end], int(count))
+            for count, size, end in zip(counts, sizes, ends)]
+    assert np.array_equal(whole, np.concatenate(runs))
+    # the ties of a flat batch still go to the smallest candidate
+    assert np.array_equal(scan_sto(np.full((4, 8), 3.0), np.array([1, 3, 3, 7])), np.full(4, -2))
+
+
 def test_reduced_scan_matches_full_likelihood_argmax():
     rng = np.random.default_rng(23)
     for _ in range(800):

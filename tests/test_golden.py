@@ -33,7 +33,7 @@ CONFIGS = {
 }
 
 
-# at 2 and 3 workers, the (cell, block) tasks run on more than one process:
+# at 2 and 3 workers, the batch tasks run on more than one process:
 # these runs are too small to pay for a worker, so the break-even is lifted
 @pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(CONFIGS))

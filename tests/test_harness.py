@@ -179,8 +179,13 @@ def inline_workers(monkeypatch, forked):
     return runs
 
 
+def counts_of(config):
+    """Each cell's summed counts, as ``run_experiment`` aggregates them."""
+    return harness._execute(config, harness._cells(config))
+
+
 def test_resolve_threads(inline_workers):
-    # one cell of 5 blocks is 5 (cell, block) tasks
+    # one cell of 4 * BLOCK + 1 frames is 5 batches, 5 tasks
     config = mae_config(snr_grid_db=(5.0,), pilot_pairs=(8,), trials=4 * harness.BLOCK + 1)
     # an explicit count caps the processes; the default is one per core this
     # process may run on, not one per core of the machine
@@ -212,9 +217,10 @@ def test_pool_size_capped_by_tasks_and_cores(inline_workers):
 @pytest.mark.parametrize(
     "sizes",
     [
-        [256, 44] * 8,  # ber_paired's benchmark grid: 8 cells of 300 trials
-        [40] * 27,  # mae_quick_grid's: 27 cells of one small block
-        [256, 256, 256, 232] * 6,  # mae_sweep's
+        [256] * 9 + [96],  # ber_paired's benchmark grid: 8 cells of 300 trials
+        [256] * 4 + [56],  # mae_quick_grid's: 27 cells of 40 trials
+        [256] * 23 + [112],  # mae_sweep's: 6 cells of 1000 trials
+        [40] * 27,  # many small tasks
         [1, 256, 256, 256],
         [256, 256, 256, 1],
     ],
@@ -325,17 +331,17 @@ def run_worker_script(body, *argv):
 @needs_fork
 def test_worker_exception_reraised_with_its_type():
     run_worker_script("""
-# block 0 fails in the first worker, while the second may still run
+# batch 0 fails in the worker, while this process may still run its share
 def fail_in_block_0(args):
     if args[-1] == 0:
-        raise ValueError(f"planted failure in block 0 of cell {args[1]}")
+        raise ValueError(f"planted failure in batch 0 of {len(args[1])} cell(s)")
     return run_task(args)
 
 harness._run_task = fail_in_block_0
 try:
     run_experiment(CONFIG)
 except ValueError as exc:
-    assert str(exc) == "planted failure in block 0 of cell 0", exc
+    assert str(exc) == "planted failure in batch 0 of 1 cell(s)", exc
     assert "in a worker process" in exc.__notes__[-1], exc.__notes__
 else:
     raise AssertionError("the run did not fail")
@@ -461,8 +467,9 @@ def test_static_channel_worker_independent():
     "trials", [harness.BLOCK - 1, harness.BLOCK, harness.BLOCK + 1, 3 * harness.BLOCK + 7]
 )
 def test_pilot_blocks_worker_independent(trials):
-    # every kind runs one task per (cell, block), a partial block last; any
-    # number of processes gives the same output, and every trial counts once
+    # every kind runs one task per batch of BLOCK frames, a partial batch
+    # last; any number of processes gives the same output, and every trial
+    # counts once
     configs = (
         mae_config(trials=trials, snr_grid_db=(10.0,)),
         mae_config(kind="error_hist", trials=trials, snr_grid_db=(10.0,), pilot_pairs=(8,)),
@@ -474,7 +481,7 @@ def test_pilot_blocks_worker_independent(trials):
     for config in configs:
         outputs = {run_experiment(replace(config, threads=w)).to_csv() for w in (1, 2, 3, 5)}
         assert len(outputs) == 1, config.kind
-        counts = harness._execute(replace(config, threads=5))
+        counts = counts_of(replace(config, threads=5))
         assert [int(c[:-3].sum()) for c in counts] == [trials] * len(counts), config.kind
 
 
@@ -496,26 +503,29 @@ def test_hist_worker_independent():
 
 def planted_first_draw(monkeypatch, planted):
     """Make the harness's first ``draw_channel`` call return ``planted`` and
-    later calls draw as usual; returns the block sizes of every call."""
-    sizes = []
+    later calls draw as usual; returns the (size, noise powers) of every call."""
+    calls = []
 
     def draw(rng, noise, n=None):
-        sizes.append(n)
-        return planted if len(sizes) == 1 else draw_channel(rng, noise, n)
+        calls.append((n, np.array(noise).tolist()))
+        return planted if len(calls) == 1 else draw_channel(rng, noise, n)
 
     monkeypatch.setattr(harness, "draw_channel", draw)
-    return sizes
+    return calls
 
 
 def test_degenerate_channels_redrawn_block_wide(monkeypatch):
     # trials 1 and 3 have on/off powers within NEAR_DEGENERATE_REL of each
-    # other and are redrawn from the block's stream; the others keep theirs
+    # other and are redrawn from the batch's stream, each at its own noise
+    # power; the others keep theirs
     near = 1.0 + harness.NEAR_DEGENERATE_REL / 2
-    planted_first_draw(
+    calls = planted_first_draw(
         monkeypatch,
         ChannelState(np.array([1.0, 2.0, 1.0, 5.0]), np.array([3.0, 2.0, 0.5, 5.0 * near])),
     )
-    p0, p1 = harness._channel_powers(trial_rng(4, 0, 0), ChannelModel(), 1.0, 4)
+    noise = np.array([0.1, 0.2, 0.3, 0.4])
+    p0, p1 = harness._channel_powers(trial_rng(4, 0), ChannelModel(), noise)
+    assert calls[:2] == [(4, noise.tolist()), (2, [0.2, 0.4])]
     assert p0.shape == p1.shape == (4, 1)
     assert not harness._degenerate(ChannelState(p0, p1)).any()
     assert p0[[0, 2], 0].tolist() == [1.0, 1.0] and p1[[0, 2], 0].tolist() == [3.0, 0.5]
@@ -523,25 +533,23 @@ def test_degenerate_channels_redrawn_block_wide(monkeypatch):
 
 
 def test_pilot_blocks_redraw_degenerate_channels(monkeypatch):
-    # a pilot-only block resolves its powers as a BER block does: a frame
-    # with no on/off contrast is redrawn from the block's stream before the
+    # a pilot-only batch resolves its powers as a BER batch does: a frame
+    # with no on/off contrast is redrawn from the batch's stream before the
     # pilot sums are drawn, so the scan sees only the redrawn powers
     config = mae_config(kind="error_hist", trials=3, snr_grid_db=(10.0,), pilot_pairs=(8,))
-    ((_, _, frame),) = harness._cells(config)
-    noise = config.channel.noise_for_snr(10.0, config.snr_reference)
-    sizes = planted_first_draw(
+    calls = planted_first_draw(
         monkeypatch, ChannelState(np.array([1.0, 2.0, 4.0]), np.array([3.0, 2.0, 0.5]))
     )
     seen = []
     pilot_sums = harness._pilot_sums
 
-    def recording(rng, rows, tau, span, p0, p1):
+    def recording(rng, rows, edges, tau, span, p0, p1):
         seen.append((p0.ravel().tolist(), p1.ravel().tolist()))
-        return pilot_sums(rng, rows, tau, span, p0, p1)
+        return pilot_sums(rng, rows, edges, tau, span, p0, p1)
 
     monkeypatch.setattr(harness, "_pilot_sums", recording)
-    counts = harness._run_task((config, 0, frame, noise, 0))
-    assert sizes == [3, 1]
+    (counts,) = harness._run_task((config, harness._cells(config), 0))
+    assert [n for n, _ in calls] == [3, 1]
     ((p0, p1),) = seen
     assert p0[0::2] == [1.0, 4.0] and p1[0::2] == [3.0, 0.5]
     assert p0[1] != 2.0 and not harness._degenerate(ChannelState(p0[1], p1[1]))
@@ -665,7 +673,7 @@ def test_ber_block_stream_keeps_the_frame_law():
             pilot_bit_samples=16, symbol_samples=(12,), data_symbols=5,
             tau_choices=(-5, -4, 4, 5), seed=1, threads=1, **channel,
         )
-        (counts,) = harness._execute(config)
+        (counts,) = counts_of(config)
         span = config.pilot_bit_samples
         blocks = {e - span: int(c) for e, c in enumerate(counts[: 2 * span + 1]) if c}
         eps, errors = per_trial_ber_frames(config, seed=2)
@@ -700,12 +708,88 @@ def test_ber_sampler_keeps_the_joint_frame_law(monkeypatch):
         return tau_hat, bit_errors
 
     monkeypatch.setattr(harness, "_payload_frames", recording)
-    harness._execute(config)
+    counts_of(config)
     eps, errors = per_trial_ber_frames(config, seed=2)
     frames = Counter(zip(eps.tolist(), *errors.T.tolist()))
     assert sum(sampled.values()) == sum(frames.values()) == config.trials
     p_value = homogeneity_p(sampled, frames)
     assert p_value > STREAM_LAW_P_MIN, p_value
+
+
+# grids whose batches cross cell edges: every full batch of the MAE grid
+# spans 7 cells of 40 trials, and a batch edge splits a 100-trial BER cell
+CROSSED_MAE = dict(snr_grid_db=(0.0, 5.0, 10.0), trials=40, pilot_pairs=(2, 4, 8))
+CROSSED_BER = dict(
+    kind="ber_compare", snr_grid_db=(5.0, 15.0), trials=100, pilot_pairs=(8,),
+    pilot_bit_samples=16, symbol_samples=(12, 20), data_symbols=5,
+    tau_choices=(-5, -4, 4, 5), threads=1,
+)
+
+
+def test_batches_across_cells_keep_each_cells_law():
+    # a batch holds BLOCK consecutive frames of the run, so it crosses cell
+    # edges, and each frame must still see its own cell's L, N and noise.
+    # MAE: the 3 x 3 (SNR, L) grid run on 250 seeds; each cell's error
+    # histogram against the cell run alone for as many trials (chi-square
+    # homogeneity). BER: the 2 x 2 (SNR, N) grid run on 200 seeds against
+    # each cell run alone on 200 others; a two-sample z-test of each cell's
+    # mean error count per column
+    runs = 250
+    config = mae_config(**CROSSED_MAE)
+    span = config.pilot_bit_samples
+    batched = sum(counts_of(replace(config, seed=seed)) for seed in range(runs))
+    for i, (snr, pairs, _, _) in enumerate(harness._cells(config)):
+        alone = counts_of(replace(
+            config, snr_grid_db=(snr,), pilot_pairs=(pairs,), trials=runs * config.trials,
+            seed=runs + i,
+        ))
+        p_value = homogeneity_p(
+            *({e - span: int(c) for e, c in enumerate(hist[: 2 * span + 1]) if c}
+              for hist in (batched[i], alone[0]))
+        )
+        assert p_value > STREAM_LAW_P_MIN, (snr, pairs, p_value)
+
+    config = ExperimentConfig(**CROSSED_BER)
+    runs = 200
+    batched = np.stack([counts_of(replace(config, seed=seed))[:, -3:] for seed in range(runs)])
+    for i, (snr, n, _, _) in enumerate(harness._cells(config)):
+        cell = replace(config, snr_grid_db=(snr,), symbol_samples=(n,))
+        alone = np.stack(
+            [counts_of(replace(cell, seed=seed))[0, -3:] for seed in range(runs, 2 * runs)]
+        )
+        se = np.sqrt((batched[:, i].var(axis=0, ddof=1) + alone.var(axis=0, ddof=1)) / runs)
+        z = (batched[:, i].mean(axis=0) - alone.mean(axis=0)) / se
+        assert np.all(np.abs(z) <= STREAM_LAW_Z_MAX), (snr, n, z)
+
+
+def test_each_frame_of_a_batch_gets_its_cells_parameters(monkeypatch):
+    # the exact counterpart of the law test above, which cannot see an edge
+    # misplaced by a frame or two: frame f of a run belongs to cell
+    # f // trials, and the sampler draws it with that cell's noise power and
+    # L (MAE) or N (BER), and the scan reads it with that cell's L
+    seen = {}
+
+    def record(name, fn, value):
+        def wrapper(*args):
+            seen.setdefault(name, []).extend(value(*args))
+            return fn(*args)
+        monkeypatch.setattr(harness, fn.__name__, wrapper)
+
+    record("noise", harness._channel_powers, lambda rng, channel, noise: noise)
+    record("L", harness._pilot_sums, lambda rng, rows, edges, *_: np.repeat(rows, np.diff(edges)))
+    record("scanned L", harness.scan_sto, lambda sums, rows: np.broadcast_to(rows, len(sums)))
+    record("N", harness._payload_frames,
+           lambda rng, frame, tau, *_: [frame.data_symbol_samples] * len(tau))
+    for config in (mae_config(**CROSSED_MAE), ExperimentConfig(**CROSSED_BER)):
+        seen.clear()
+        cells = harness._cells(config)
+        run_experiment(config)
+        frame_cells = [cells[f // config.trials] for f in range(len(cells) * config.trials)]
+        assert seen["noise"] == [noise for _, _, _, noise in frame_cells]
+        if config.kind == "ber_compare":
+            assert seen["N"] == [n for _, n, _, _ in frame_cells]
+        else:
+            assert seen["L"] == seen["scanned L"] == [pairs for _, pairs, _, _ in frame_cells]
 
 
 # -------------------------------------------------------------------- results
