@@ -11,8 +11,9 @@ estimates gives the profile log-likelihood
 whose argmax locates the transition (Hinkley's change-point profile,
 Biometrika 1970); the sign of the offset follows from which half of the
 window the transition falls in.  The likelihood reads the matrix only
-through its N_p column power sums, so the scan (``scan_sto``) takes those
-sums, for one matrix or for a batch of them.
+through its N_p column power sums, and L only scales it and adds a
+constant, so the scan (``scan_sto``) takes those sums alone, for one
+matrix or for a batch of them.
 """
 
 from __future__ import annotations
@@ -61,31 +62,29 @@ def collect_windows(w: Waveform) -> np.ndarray:
     return region.reshape(cfg.pilot_pairs, 2 * n_p)[:, n_p:]
 
 
-def _profile(col_sums: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Plug-in segment variances s1, s2 and the profile log-likelihood at
-    n0 = 2..N_p-1 for column power sums of shape (..., N_p), each matrix of
-    ``rows`` rows (one count, or one per matrix, shape (...)); each result
-    has shape (..., N_p - 2), its last axis indexed by n0 - 2.
+def _profile(col_sums: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row segment variances m1, m2 and the profile at n0 = 2..N_p-1 for
+    column power sums of shape (..., N_p); each result has shape
+    (..., N_p - 2), its last axis indexed by n0 - 2.
 
-    Segment 1 is columns [1..n0], segment 2 is [n0+1..N_p] (1-indexed).
-    A matrix's values do not depend on the other matrices or on how their
-    row counts are given.
+    Segment 1 is columns [1..n0], segment 2 is [n0+1..N_p] (1-indexed).  A
+    matrix of L rows has segment variances m / L and log-likelihood
+    L * (profile + N_p log L): L scales the profile and shifts it, so its
+    argmax does not read L.  Equal segment means tie every candidate exactly.
     """
     sums = np.asarray(col_sums, dtype=float)
     cols = sums.shape[-1]
     prefix = np.cumsum(sums, axis=-1)
     candidates = np.arange(2.0, cols)
-    # samples in each segment, exact in floats
-    first = np.multiply.outer(rows, candidates)
-    second = np.multiply.outer(rows, cols - candidates)
     head = prefix[..., 1:-1]
-    s1 = head / first
-    s2 = (prefix[..., -1:] - head) / second
-    bad = (s1 <= 0.0) | (s2 <= 0.0)
+    m1 = head / candidates
+    m2 = (prefix[..., -1:] - head) / (cols - candidates)
+    bad = (m1 <= 0.0) | (m2 <= 0.0)
     if bad.any():
         raise DegenerateSegmentError(f"zero-power segment at n0={2 + np.nonzero(bad)[-1].min()}")
-    loglik = -first * np.log(s1) - second * np.log(s2)
-    return s1, s2, loglik
+    log_m2 = np.log(m2)
+    profile = -cols * log_m2 - candidates * (np.log(m1) - log_m2)
+    return m1, m2, profile
 
 
 def _offset(n0_hat, cols: int):
@@ -94,18 +93,16 @@ def _offset(n0_hat, cols: int):
     return np.where(n0_hat < cols / 2, -n0_hat, cols - n0_hat)
 
 
-def scan_sto(col_sums: np.ndarray, rows) -> np.ndarray:
+def scan_sto(col_sums: np.ndarray) -> np.ndarray:
     """Scan n0 over {2..N_p-1} for each pilot matrix given by its column power sums.
 
     ``col_sums`` has shape (..., N_p): entry j is the summed power of column
-    j over the matrix's rows, which is all the profile likelihood reads.
-    ``rows`` counts them: one int for every matrix, or one per matrix, shape
-    (...); either way a matrix gets the estimate it gets alone.  Returns the
-    signed offset estimates, shape (...).  Ties resolve to the smallest
-    candidate.
+    j over the matrix's rows, which is all the profile likelihood reads; the
+    row count only scales it.  Returns the signed offset estimates, shape
+    (...).  Ties resolve to the smallest candidate.
     """
-    _, _, loglik = _profile(col_sums, rows)
-    n0_hat = 2 + np.argmax(loglik, axis=-1)  # first maximum: smallest-n0 tie-break
+    _, _, profile = _profile(col_sums)
+    n0_hat = 2 + np.argmax(profile, axis=-1)  # first maximum: smallest-n0 tie-break
     return _offset(n0_hat, np.shape(col_sums)[-1])
 
 
@@ -119,6 +116,7 @@ def estimate_sto(y: np.ndarray) -> StoEstimate:
         raise ValueError(f"pilot matrix must be at least 1 x 4, got {rows} x {cols}")
     if not np.all(np.isfinite(y)):
         raise ValueError("pilot matrix contains non-finite entries")
-    s1, s2, loglik = _profile((y.real**2 + y.imag**2).sum(axis=0), rows)
-    n0_hat = 2 + int(np.argmax(loglik))
-    return StoEstimate(n0_hat, int(_offset(n0_hat, cols)), s1, s2, loglik)
+    m1, m2, profile = _profile((y.real**2 + y.imag**2).sum(axis=0))
+    n0_hat = 2 + int(np.argmax(profile))
+    loglik = rows * (profile + cols * np.log(rows))
+    return StoEstimate(n0_hat, int(_offset(n0_hat, cols)), m1 / rows, m2 / rows, loglik)

@@ -23,13 +23,13 @@ The batches draw those energies directly.
 
 An MAE or histogram frame has no payload, and its trial is only the pilot
 scan, which reads the pilot through its N_p column power sums (``scan_sto``,
-once per batch, each frame with its cell's L).  Column j of the L "1"
-windows sums L samples, i.e. p * Gamma(L, 1): p = p1 where the offset
-window still covers its "1" bit (0 <= tau + j < N_p), and p = p0 where it
-reads a neighbour.  That is exact: every "1" window's neighbours are "0"
-bits (the pilot "0" before it, and the pilot "0" or the guard bit after it),
-and no two windows share a sample, because the windows lie 2 N_p apart and
-|tau| < N_p/2.
+once per batch; L only scales the profile, so the scan does not read it).
+Column j of the L "1" windows sums L samples, i.e. p * Gamma(L, 1): p = p1
+where the offset window still covers its "1" bit (0 <= tau + j < N_p), and
+p = p0 where it reads a neighbour.  That is exact: every "1" window's
+neighbours are "0" bits (the pilot "0" before it, and the pilot "0" or the
+guard bit after it), and no two windows share a sample, because the
+windows lie 2 N_p apart and |tau| < N_p/2.
 
 A BER frame adds K payload bits and a trailing guard "0".  Its trial reads
 the L pilot rows and three windows per payload bit: the ideal one (the
@@ -61,14 +61,16 @@ samplers to it.
 
 A run whose inline time, estimated from the config alone, is below
 ``FORK_BREAK_EVEN_US`` runs in the calling process.  A larger one uses one
-process per task, capped by ``threads`` and the usable CPUs: its tasks are
-cut into contiguous shares balanced by trials, the calling process runs the
-last share, and a forked child runs each other one and pickles its counts
-back over a pipe.  A child that ends without a result, killed by a
-signal for instance, fails the run, and no child outlives it.  Without
-``os.fork`` every task runs in this process.  Batches do not depend on the
-worker count, and all aggregation is over integer accumulators, so results
-are byte-identical for any worker count.
+process per task, capped by ``threads`` and the usable CPUs: its batches
+are cut into contiguous shares of equal count (every batch but the last is
+full, so the shares balance trials too), the calling process runs the last
+share, and a forked child runs each other one.  A share sums its batches'
+counts into one table as it runs, and a child pickles that table back over
+a pipe, so a run's memory does not grow with its length.  A child that
+ends without a result, killed by a signal for instance, fails the run, and
+no child outlives it.  Without ``os.fork`` every task runs in this process.
+Batches do not depend on the worker count, and all aggregation is over
+integer accumulators, so results are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -215,7 +217,11 @@ class ExperimentConfig:
         # max(tau) + ceil(N_p/2) - 1 samples late, which the BER frame's guard
         # bit must absorb
         worst = max(self.tau_choices) + (self.pilot_bit_samples + 1) // 2 - 1
-        for snr, _, frame, noise in _cells(self):
+        cells = _cells(self)
+        # the run reads this table; an attribute but no field, so equality,
+        # repr and dataclasses.replace ignore it
+        object.__setattr__(self, "_cell_table", cells)
+        for snr, _, frame, noise in cells:
             for tau in self.tau_choices:
                 frame.check_tau(tau)
                 frame.check_clock(tau)
@@ -267,7 +273,7 @@ class BerResult:
         return _csv("snr_db,N,ber_no_comp,ber_comp,ber_ideal,bits", self.rows)
 
 
-def _cells(config: ExperimentConfig) -> list[tuple[float, int, FrameConfig, float]]:
+def _cells(config: ExperimentConfig) -> tuple[tuple[float, int, FrameConfig, float], ...]:
     """(SNR, swept value, frame, noise power) for each grid cell, in row order:
     the BER experiment sweeps N at its one L, the others sweep L with no payload."""
     def frame(pairs: int, k: int, n: int) -> FrameConfig:
@@ -281,16 +287,16 @@ def _cells(config: ExperimentConfig) -> list[tuple[float, int, FrameConfig, floa
         n = config.symbol_samples[0]
         grid = [(snr, pairs, frame(pairs, 0, n)) for snr in snrs for pairs in config.pilot_pairs]
     # resolving the noise power also checks the SNR's range and reference
-    return [(*cell, config.channel.noise_for_snr(cell[0], config.snr_reference)) for cell in grid]
+    return tuple((*c, config.channel.noise_for_snr(c[0], config.snr_reference)) for c in grid)
 
 
 def _run_task(args) -> np.ndarray:
     """Run one batch of frames; every experiment kind runs this task.
 
     ``args`` is (config, cells, batch), with ``cells`` as ``_cells`` builds
-    them once per run.  The run's frames are numbered cell by cell, and batch
-    b holds frames b * BLOCK onwards, up to ``BLOCK`` of them, from one cell
-    or several.
+    them once per config.  The run's frames are numbered cell by cell, and
+    batch b holds frames b * BLOCK onwards, up to ``BLOCK`` of them, from one
+    cell or several.
 
     Returns int64 counts, one row per cell the batch reaches, the first being
     cell b * BLOCK // trials: entry i < 2 N_p + 1 counts the signed
@@ -322,9 +328,7 @@ def _run_task(args) -> np.ndarray:
         bit_errors = np.add.reduceat(bit_errors, edges[:-1], axis=0)
     else:
         pairs = [frame.pilot_pairs for _, _, frame, _ in reached]
-        sums = _pilot_sums(rng, pairs, edges, tau, span, p0, p1)
-        # a per-frame L only where the batch mixes them; a scalar scans faster
-        tau_hat = scan_sto(sums, pairs[0] if len(set(pairs)) == 1 else np.repeat(pairs, sizes))
+        tau_hat = scan_sto(_pilot_sums(rng, pairs, edges, tau, span, p0, p1))
         bit_errors = np.zeros((len(reached), 3), dtype=np.int64)
     width = 2 * span + 1
     cell = np.repeat(np.arange(len(reached)) * width, sizes)
@@ -385,7 +389,7 @@ def _payload_frames(rng, frame, tau, p0, p1) -> tuple[np.ndarray, np.ndarray]:
     near[:, 2 * span :] *= np.where(payload[:, :1] == 1, p1, p0)
     # row L-1 reads positions tau + j - N_p: the pilot "0", its "1" or bit 0
     sums += np.take_along_axis(near, span + tau[:, None] + np.arange(span), axis=1)
-    tau_hat = scan_sto(sums, pairs)
+    tau_hat = scan_sto(sums)
 
     # bits 1..K-1 and the guard bit are cut where the offset (tau) and the
     # compensated (tau - tau_hat) clocks cross them: three segments each
@@ -419,23 +423,17 @@ def _payload_frames(rng, frame, tau, p0, p1) -> tuple[np.ndarray, np.ndarray]:
     return tau_hat, np.stack(bit_errors, axis=1)
 
 
-def _execute(config: ExperimentConfig, cells: list) -> np.ndarray:
+def _execute(config: ExperimentConfig, cells: tuple) -> np.ndarray:
     """Run every batch of the run's frames; returns the counts summed per
     cell, one row per cell of ``cells`` (see ``_run_task``)."""
-    frames = len(cells) * config.trials
-    tasks = [(config, cells, batch) for batch in range(-(-frames // BLOCK))]
+    batches = -(-len(cells) * config.trials // BLOCK)
     affinity = getattr(os, "sched_getaffinity", None)  # the CPUs this process may use
     processes = _processes(config, len(affinity(0)) if affinity else os.cpu_count() or 1)
     if processes == 1 or not hasattr(os, "fork"):
-        outputs = [_run_task(t) for t in tasks]
-    else:
-        sizes = [min(BLOCK, frames - batch * BLOCK) for batch in range(len(tasks))]
-        outputs = _run_forked(tasks, _shares(sizes, processes))
-    counts = np.zeros((len(cells), outputs[0].shape[1]), dtype=np.int64)
-    for batch, output in enumerate(outputs):
-        first = batch * BLOCK // config.trials
-        counts[first : first + len(output)] += output
-    return counts
+        return _run_share(config, cells, range(batches))
+    # every batch but the last is full, so an even cut by count balances trials
+    cuts = [batches * share // processes for share in range(processes + 1)]
+    return _run_forked(config, cells, [range(a, b) for a, b in zip(cuts, cuts[1:])])
 
 
 def _processes(config: ExperimentConfig, cores: int) -> int:
@@ -451,21 +449,22 @@ def _processes(config: ExperimentConfig, cores: int) -> int:
     return min(config.threads or cores, tasks, cores)
 
 
-def _shares(sizes: list[int], count: int) -> list[range]:
-    """Cut the task indices into ``count`` <= len(sizes) contiguous, non-empty
-    ranges, each cut where the trials before it lie nearest an equal split."""
-    done = np.concatenate([[0], np.cumsum(sizes)])  # trials before each cut point
-    cuts = [0]
-    for share in range(1, count):
-        nearest = int(np.abs(done - done[-1] * share / count).argmin())
-        # leave at least one task for this share and for each one after it
-        cuts.append(min(max(nearest, cuts[-1] + 1), len(sizes) - count + share))
-    return [range(a, b) for a, b in zip(cuts, cuts[1:] + [len(sizes)])]
+def _run_share(config: ExperimentConfig, cells: tuple, batches: range) -> np.ndarray:
+    """Run the batches of one share; returns their counts summed per cell,
+    one row per cell of ``cells``."""
+    # 2 N_p + 1 error counts and 3 bit-error counts per cell (see _run_task)
+    counts = np.zeros((len(cells), 2 * config.pilot_bit_samples + 4), dtype=np.int64)
+    for batch in batches:
+        first = batch * BLOCK // config.trials
+        # the module global, so that a wrapper installed on it runs here too
+        output = _run_task((config, cells, batch))
+        counts[first : first + len(output)] += output
+    return counts
 
 
-def _run_forked(tasks: list, shares: list[range]) -> list[np.ndarray]:
-    """Run the last share of ``tasks`` here and each other share in a child
-    forked for it; returns the outputs in task order.  A child's exception is
+def _run_forked(config: ExperimentConfig, cells: tuple, shares: list[range]) -> np.ndarray:
+    """Run the last share here and each other share in a child forked for
+    it; returns the counts of every share summed.  A child's exception is
     raised here, its traceback added as a note, and a child that ends with no
     result raises RuntimeError.  Every child is reaped, killed first if it
     still runs, and every pipe closed, also when this process's share raises.
@@ -477,16 +476,14 @@ def _run_forked(tasks: list, shares: list[range]) -> list[np.ndarray]:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _serve_share(tasks, share, write_end)  # never returns
+                    _serve_share(config, cells, share, write_end)  # never returns
             except BaseException:
                 os.close(read_end)
                 raise
             finally:
                 os.close(write_end)
             children.append((pid, open(read_end, "rb")))
-        # the module global, so that a wrapper installed on it runs here too
-        own = [_run_task(tasks[i]) for i in shares[-1]]
-        outputs = []
+        counts = _run_share(config, cells, shares[-1])
         while children:
             pid, pipe = children[0]
             with pipe:
@@ -499,8 +496,8 @@ def _run_forked(tasks: list, shares: list[range]) -> list[np.ndarray]:
             result = pickle.loads(data)
             if isinstance(result, BaseException):
                 raise result
-            outputs.extend(result)
-        return outputs + own
+            counts += result
+        return counts
     finally:
         for pid, pipe in children:
             pipe.close()
@@ -511,15 +508,14 @@ def _run_forked(tasks: list, shares: list[range]) -> list[np.ndarray]:
             os.waitpid(pid, 0)
 
 
-def _serve_share(tasks: list, share: range, write_end: int) -> None:
-    """Run one share in a forked child, pickle its outputs or its exception to
+def _serve_share(config: ExperimentConfig, cells: tuple, share: range, write_end: int) -> None:
+    """Run one share in a forked child, pickle its counts or its exception to
     ``write_end``, and leave without running the parent's exit handlers or
     flushing the stdio buffers copied from it."""
     code = 1
     try:
         try:
-            # the module global, so that a wrapper installed on it runs here too
-            result = [_run_task(tasks[i]) for i in share]
+            result = _run_share(config, cells, share)
         except BaseException as exc:
             note = f"in a worker process:\n{traceback.format_exc()}"
             exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
@@ -531,7 +527,7 @@ def _serve_share(tasks: list, share: range, write_end: int) -> None:
         os._exit(code)
 
 
-def _mae(config: ExperimentConfig, cells: list, counts: np.ndarray) -> MaeResult:
+def _mae(config: ExperimentConfig, cells: tuple, counts: np.ndarray) -> MaeResult:
     """Mean absolute estimation error per (SNR, L) cell."""
     span = config.pilot_bit_samples
     abs_errors = np.abs(np.arange(-span, span + 1))
@@ -542,7 +538,7 @@ def _mae(config: ExperimentConfig, cells: list, counts: np.ndarray) -> MaeResult
     return MaeResult(rows=tuple(rows))
 
 
-def _error_hist(config: ExperimentConfig, cells: list, counts: np.ndarray) -> ErrorHistResult:
+def _error_hist(config: ExperimentConfig, cells: tuple, counts: np.ndarray) -> ErrorHistResult:
     """Empirical pmf of the signed estimation error at one (SNR, L) point."""
     span = config.pilot_bit_samples
     probs = {
@@ -553,7 +549,7 @@ def _error_hist(config: ExperimentConfig, cells: list, counts: np.ndarray) -> Er
     return ErrorHistResult(probabilities=probs)
 
 
-def _ber(config: ExperimentConfig, cells: list, counts: np.ndarray) -> BerResult:
+def _ber(config: ExperimentConfig, cells: tuple, counts: np.ndarray) -> BerResult:
     """Paired BER under no compensation, estimated compensation, and ideal sync."""
     bits = config.trials * config.data_symbols
     rows = []
@@ -574,7 +570,7 @@ _KINDS = {
 
 def run_experiment(config: ExperimentConfig) -> MaeResult | ErrorHistResult | BerResult:
     """Run every trial of the experiment and aggregate them by its kind."""
-    cells = _cells(config)
+    cells = config._cell_table
     return _KINDS[config.kind][0](config, cells, _execute(config, cells))
 
 

@@ -147,7 +147,7 @@ def test_loglik_degenerate_segment_raises():
     sums = np.ones((3, 6))
     sums[1, 4:] = 0.0
     with pytest.raises(DegenerateSegmentError, match="n0=4"):
-        scan_sto(sums, 2)
+        scan_sto(sums)
 
 
 # -------------------------------------------------------------------- estimate_sto
@@ -205,7 +205,7 @@ def test_estimate_flat_matrix_tie_break():
     est = estimate_sto(np.ones((3, 8), dtype=complex))
     assert (est.n0_hat, est.tau_hat) == (2, -2)
     # every candidate ties on flat column sums: each scan takes n0 = 2
-    assert np.array_equal(scan_sto(np.full((4, 8), 3.0), 3), np.full(4, -2))
+    assert np.array_equal(scan_sto(np.full((4, 8), 3.0)), np.full(4, -2))
 
 
 def power_sums(y):
@@ -228,18 +228,17 @@ def test_scan_core_matches_estimate_sto():
             + [exact_two_segment(rng, rows, cols, split, v1, v2) for _ in range(3)]
         )
         expected = [estimate_sto(y).tau_hat for y in batch]
-        assert scan_sto(power_sums(batch), rows).tolist() == expected
-        assert scan_sto(power_sums(batch).reshape(2, 3, cols), rows).tolist() == [
+        assert scan_sto(power_sums(batch)).tolist() == expected
+        assert scan_sto(power_sums(batch).reshape(2, 3, cols)).tolist() == [
             expected[:3], expected[3:]
         ]
-        assert int(scan_sto(power_sums(batch[-1]), rows)) == expected[-1]
+        assert int(scan_sto(power_sums(batch[-1]))) == expected[-1]
 
 
-def test_scan_with_a_row_count_per_matrix_matches_scans_per_count():
+def test_scan_of_a_mixed_length_batch_matches_scans_per_length():
     # a batch of frames from several cells, in runs of one pilot length each,
-    # scans at once with one row count per frame and gives exactly what a
-    # scan of each run with its scalar count gives: 10,000 frames of
-    # gamma column sums with a random change point and power ratio
+    # scans at once and gives exactly what a scan of each run gives: 10,000
+    # frames of gamma column sums with a random change point and power ratio
     rng = np.random.default_rng(64)
     cols, frames = 30, 10_000
     sizes = rng.multinomial(frames - 40, np.full(40, 1 / 40)) + 1
@@ -249,13 +248,32 @@ def test_scan_with_a_row_count_per_matrix_matches_scans_per_count():
     ratio = rng.uniform(0.5, 2.0, size=(frames, 1))
     sums = rng.standard_gamma(rows[:, None], size=(frames, cols))
     sums *= np.where(np.arange(cols) < split, 1.0, ratio)
-    whole = scan_sto(sums, rows)
+    whole = scan_sto(sums)
     ends = np.cumsum(sizes)
-    runs = [scan_sto(sums[end - size : end], int(count))
-            for count, size, end in zip(counts, sizes, ends)]
+    runs = [scan_sto(sums[end - size : end]) for size, end in zip(sizes, ends)]
     assert np.array_equal(whole, np.concatenate(runs))
-    # the ties of a flat batch still go to the smallest candidate
-    assert np.array_equal(scan_sto(np.full((4, 8), 3.0), np.array([1, 3, 3, 7])), np.full(4, -2))
+    # the ties of a flat batch still go to the smallest candidate, whatever
+    # the common column sum
+    flat = np.array([1.0, 3.0, 3.0, 7.0, 0.1, 1e6])[:, None] * np.ones(8)
+    assert np.array_equal(scan_sto(flat), np.full(6, -2))
+
+
+def test_estimate_ignores_the_row_count():
+    # L scales the profile and shifts it by a constant: a matrix stacked k
+    # times has the same estimate and segment variances, and k times the
+    # log-likelihood
+    rng = np.random.default_rng(65)
+    for _ in range(300):
+        rows, cols = int(rng.integers(1, 9)), int(rng.integers(4, 33))
+        y = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        est = estimate_sto(y)
+        for k in range(2, 6):
+            stacked = estimate_sto(np.tile(y, (k, 1)))
+            assert (stacked.n0_hat, stacked.tau_hat) == (est.n0_hat, est.tau_hat)
+            assert stacked.s1 == pytest.approx(est.s1, rel=1e-12)
+            assert stacked.s2 == pytest.approx(est.s2, rel=1e-12)
+            tol = dict(rel=1e-12, abs=1e-14 * k * rows * cols)
+            assert stacked.loglik == pytest.approx(k * est.loglik, **tol)
 
 
 def test_reduced_scan_matches_full_likelihood_argmax():

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
@@ -169,9 +170,9 @@ def inline_workers(monkeypatch, forked):
     returns the (processes, tasks) of each such run."""
     runs = []
 
-    def run_inline(tasks, shares):
-        runs.append((len(shares), len(tasks)))
-        return [harness._run_task(tasks[i]) for share in shares for i in share]
+    def run_inline(config, cells, shares):
+        runs.append((len(shares), shares[-1].stop))
+        return sum(harness._run_share(config, cells, share) for share in shares)
 
     monkeypatch.setattr(harness, "_run_forked", run_inline)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
@@ -220,20 +221,37 @@ def test_pool_size_capped_by_tasks_and_cores(inline_workers):
         [256] * 9 + [96],  # ber_paired's benchmark grid: 8 cells of 300 trials
         [256] * 4 + [56],  # mae_quick_grid's: 27 cells of 40 trials
         [256] * 23 + [112],  # mae_sweep's: 6 cells of 1000 trials
-        [40] * 27,  # many small tasks
-        [1, 256, 256, 256],
+        [256] * 40 + [255],  # many batches
+        [256, 256],  # full batches only
         [256, 256, 256, 1],
     ],
 )
-def test_shares_split_tasks_contiguously_by_trials(sizes):
-    for count in range(1, len(sizes) + 1):
-        shares = harness._shares(sizes, count)
-        assert shares == harness._shares(sizes, count)
-        assert len(shares) == count and all(shares)
-        # every task exactly once, in order: the shares are contiguous
+def test_shares_split_tasks_contiguously_by_trials(monkeypatch, forked, sizes):
+    # a run of sum(sizes) frames has batches of these sizes; a spy in place
+    # of the forked run records the shares of every process count it can
+    # get, on a machine of 64 cores
+    seen = []
+
+    def record(config, cells, shares):
+        seen.append(shares)
+        return harness._run_share(config, cells, range(0))  # all-zero counts
+
+    monkeypatch.setattr(harness, "_run_forked", record)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    config = mae_config(snr_grid_db=(5.0,), pilot_pairs=(8,), trials=sum(sizes))
+    assert sizes == [min(harness.BLOCK, sum(sizes[i:])) for i in range(len(sizes))]
+    for count in range(2, len(sizes) + 1):
+        for _ in range(2):
+            counts_of(replace(config, threads=count))
+        shares, again = seen[-2:]
+        assert shares == again and len(shares) == count and all(shares)
+        # every batch exactly once, in order: the shares are contiguous
         assert [i for share in shares for i in share] == list(range(len(sizes)))
-    trials = [sum(sizes[i] for i in share) for share in harness._shares(sizes, 2)]
-    assert max(trials) - min(trials) <= max(sizes)
+        trials = [sum(sizes[i] for i in share) for share in shares]
+        assert max(trials) - min(trials) <= max(sizes)
+    # one process runs inline and forks no share
+    counts_of(replace(config, threads=1))
+    assert len(seen) == 2 * (len(sizes) - 1)
 
 
 # The benchmark's workloads and criterion 1's run, written out, at 2 usable
@@ -483,6 +501,42 @@ def test_pilot_blocks_worker_independent(trials):
         assert len(outputs) == 1, config.kind
         counts = counts_of(replace(config, threads=5))
         assert [int(c[:-3].sum()) for c in counts] == [trials] * len(counts), config.kind
+
+
+def test_memory_flat_in_the_runs_length():
+    # a share sums its batches' counts into one table as it runs, so a run's
+    # memory does not grow with its length: the traced peak of a 2,000-batch
+    # run against a 200-batch run's, one cell of N_p = 8 and L = 2, inline
+    bound = 64 * 1024  # bytes, fixed before the first run
+    config = mae_config(
+        snr_grid_db=(10.0,), pilot_pairs=(2,), pilot_bit_samples=8, tau_choices=(-2, 2),
+        trials=harness.BLOCK,
+    )
+    run_experiment(config)  # first-call allocations stay out of the comparison
+    peaks = []
+    for batches in (200, 2000):
+        tracemalloc.start()
+        try:
+            run_experiment(replace(config, trials=batches * harness.BLOCK))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= bound, peaks
+
+
+def test_cell_table_built_once_per_config(monkeypatch):
+    # the config builds its cells to validate itself, and every run of it
+    # reads that table
+    built = []
+    cells = harness._cells
+    monkeypatch.setattr(harness, "_cells", lambda config: built.append(config) or cells(config))
+    config = mae_config(trials=20)
+    assert run_experiment(config) == run_experiment(config)
+    assert built == [config]
+    # the table is no field: equality, repr and replace do not see it
+    assert "_cell_table" not in repr(config) and config == mae_config(trials=20)
+    moved = replace(config, snr_grid_db=(7.0,))
+    assert [(snr, pairs) for snr, pairs, _, _ in moved._cell_table] == [(7.0, 8), (7.0, 16)]
 
 
 def test_single_trial_repeatable():
@@ -766,7 +820,7 @@ def test_each_frame_of_a_batch_gets_its_cells_parameters(monkeypatch):
     # the exact counterpart of the law test above, which cannot see an edge
     # misplaced by a frame or two: frame f of a run belongs to cell
     # f // trials, and the sampler draws it with that cell's noise power and
-    # L (MAE) or N (BER), and the scan reads it with that cell's L
+    # L (MAE) or N (BER)
     seen = {}
 
     def record(name, fn, value):
@@ -777,7 +831,6 @@ def test_each_frame_of_a_batch_gets_its_cells_parameters(monkeypatch):
 
     record("noise", harness._channel_powers, lambda rng, channel, noise: noise)
     record("L", harness._pilot_sums, lambda rng, rows, edges, *_: np.repeat(rows, np.diff(edges)))
-    record("scanned L", harness.scan_sto, lambda sums, rows: np.broadcast_to(rows, len(sums)))
     record("N", harness._payload_frames,
            lambda rng, frame, tau, *_: [frame.data_symbol_samples] * len(tau))
     for config in (mae_config(**CROSSED_MAE), ExperimentConfig(**CROSSED_BER)):
@@ -789,7 +842,7 @@ def test_each_frame_of_a_batch_gets_its_cells_parameters(monkeypatch):
         if config.kind == "ber_compare":
             assert seen["N"] == [n for _, n, _, _ in frame_cells]
         else:
-            assert seen["L"] == seen["scanned L"] == [pairs for _, pairs, _, _ in frame_cells]
+            assert seen["L"] == [pairs for _, pairs, _, _ in frame_cells]
 
 
 # -------------------------------------------------------------------- results
@@ -822,7 +875,7 @@ def test_hist_noise_free_floor():
 
 def test_hist_mass_sits_at_tau_minus_tau_hat(monkeypatch):
     # a scan that always answers 3: every error is tau - 3
-    monkeypatch.setattr(harness, "scan_sto", lambda sums, rows: np.full(len(sums), 3))
+    monkeypatch.setattr(harness, "scan_sto", lambda sums: np.full(len(sums), 3))
     config = ExperimentConfig(
         kind="error_hist", snr_grid_db=(10.0,), trials=200, pilot_pairs=(8,),
         pilot_bit_samples=16, tau_choices=(-5, 5), seed=3, threads=1,
