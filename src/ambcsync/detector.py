@@ -64,9 +64,9 @@ def ed_threshold(n_samples: int, p0, p1):
 
 
 def _decide(energies, threshold, p0, p1) -> np.ndarray:
-    """Decided int64 bits: 1 where the energy reaches the threshold, the
-    orientation flipped where p1 < p0; all arguments broadcast together."""
-    return ((energies >= threshold) != (p1 < p0)).astype(np.int64)
+    """Decided bits as bools: True where the energy reaches the threshold,
+    the orientation flipped where p1 < p0; all arguments broadcast together."""
+    return (energies >= threshold) != (p1 < p0)
 
 
 def detect_frame(
@@ -84,4 +84,4 @@ def detect_frame(
     k = w.config.data_symbols
     region = wc.samples[wc.data_start : wc.data_start + k * n]
     energies = (region.real**2 + region.imag**2).reshape(k, n).sum(axis=1)
-    return _decide(energies, params.threshold, params.p0, params.p1), energies
+    return _decide(energies, params.threshold, params.p0, params.p1).astype(np.int64), energies

@@ -45,19 +45,19 @@ p * Exp(1) per sample, because several readers share their samples:
     covers [tau, N_p) of that bit for tau > 0 and [0, N_p + tau) for
     tau < 0.  When |r| > N the windows of bits 0 and 1 both reach into it.
 
-The last row is built from those samples and the cell's frames are
-scanned at once.
-Bits 1..K-1 and the guard bit are then cut where the two offset clocks
-cross them, at tau mod N and r mod N, into at most three segments, each
-drawn as p_b * Gamma(length).  Every window ends on a drawn sample or on a
-segment cut, so its energy is the difference of the cumulative energy at
-its two ends, and the three windows keep every sample they share with each
-other and with the pilot.  No window starts before the last pilot "1" bit
-(r > -N_p) or ends after the guard bit (the config bounds every clock by
-N).  Each window is decided against its trial's threshold.  The
-sample-level path (``synthesize_received``, ``estimate_sto``,
-``detect_frame``) stays in the library, and the tests hold the batch
-samplers to it.
+The last row is read from those samples and the cell's frames are scanned
+at once.  Bits 1..K-1 and the guard bit are then cut where the two clocks
+cross them, at tau mod N and r mod N, into three segments (some empty),
+each drawn as p_b * Gamma(length).  The draws are scaled straight into one
+array and cumulated in place.  Every window ends on a drawn sample or a
+cut, so its energy is the difference of the cumulative energies at its two
+ends, gathered by flat index, and the windows keep every sample they share.
+That index arithmetic needs every clock in (-N_p, N] (the scan keeps
+r > -N_p, the config bounds clocks by N): no window starts before the last
+pilot "1" bit or ends after the guard bit; floor(clock / N) may be -2.
+Each window is decided against its trial's threshold.  The sample-level
+path (``synthesize_received``, ``estimate_sto``, ``detect_frame``) stays
+in the library, and the tests hold the batch samplers to it.
 
 A run whose inline time, estimated from the config alone, is below
 ``FORK_BREAK_EVEN_US`` runs in the calling process.  A larger one uses one
@@ -107,7 +107,7 @@ PREAMBLE_BITS = 1
 BLOCK = 256
 
 # estimated inline µs below which a run forks no worker: a child costs 5-10 ms
-# to fork and fault in (BENCH_22.json; the per-batch fit is in BENCH_23.json)
+# to fork and fault in (BENCH_22.json; per-batch fits: BENCH_23/27.json)
 FORK_BREAK_EVEN_US = 24_000
 
 # frames whose on/off powers lie closer than this relative gap have no
@@ -369,58 +369,58 @@ def _pilot_sums(rng, rows, edges, tau, span, p0, p1) -> np.ndarray:
 
 def _payload_frames(rng, frame, tau, p0, p1) -> tuple[np.ndarray, np.ndarray]:
     """Draw one cell's frames of a batch, with payload, through their window
-    energies and decide them (see the module docstring).
-
-    Returns each trial's offset estimate, shape (n,), and its payload bit
-    errors under ideal sync, no compensation and the estimated compensation,
-    shape (n, 3).
-    """
-    n = tau.size
-    pairs, span = frame.pilot_pairs, frame.pilot_bit_samples
+    energies and decide them (see the module docstring).  Returns the offset
+    estimates, shape (n,), and the payload bit errors under ideal sync, no
+    compensation and the estimated compensation, shape (n, 3)."""
+    n, pairs, span = tau.size, frame.pilot_pairs, frame.pilot_bit_samples
     k, width = frame.data_symbols, frame.data_symbol_samples
-    payload = rng.integers(0, 2, size=(n, k))
-
-    # pilot rows 0..L-2 as column sums; the last pilot pair and payload bit 0
-    # sample by sample, positions -2 N_p .. N - 1 from the payload's start
+    # energy[i, 1 + m] holds trial i's m-th draw from position -2 N_p: one per
+    # sample through bit 0 (m < head), then three segments per later bit.
+    # Sample p sits at flat[rows[i] + 1 + p]; once cumulated, flat[rows[i] + p]
+    # is the energy before position p.
+    head = 2 * span + width
+    energy = np.empty((n, 1 + head + 3 * k))
+    energy[:, 0] = 0.0
+    flat, rows = energy.ravel(), np.arange(2 * span, energy.size, energy.shape[1])
+    payload = rng.integers(0, 2, size=(n, k)) == 1
     sums = _pilot_sums(rng, [pairs - 1], [0, n], tau, span, p0, p1)
-    near = rng.standard_exponential((n, 2 * span + width))
-    near[:, :span] *= p0
-    near[:, span : 2 * span] *= p1
-    near[:, 2 * span :] *= np.where(payload[:, :1] == 1, p1, p0)
+    near, drawn = rng.standard_exponential((n, head)), energy[:, 1 : 1 + head]
+    np.multiply(near[:, :span], p0, out=drawn[:, :span])
+    np.multiply(near[:, span : 2 * span], p1, out=drawn[:, span : 2 * span])
+    np.multiply(near[:, 2 * span :], np.where(payload[:, :1], p1, p0), out=drawn[:, 2 * span :])
+    del near  # the segments below reuse its memory
     # row L-1 reads positions tau + j - N_p: the pilot "0", its "1" or bit 0
-    sums += np.take_along_axis(near, span + tau[:, None] + np.arange(span), axis=1)
+    sums += flat.take((rows + tau + 1 - span)[:, None] + np.arange(span))
     tau_hat = scan_sto(sums)
-
     # bits 1..K-1 and the guard bit are cut where the offset (tau) and the
     # compensated (tau - tau_hat) clocks cross them: three segments each
-    cuts = np.sort(np.stack([tau, tau - tau_hat], axis=1) % width, axis=1)
-    lengths = np.diff(cuts, prepend=0, append=width)[:, None, :]
-    later = np.concatenate([payload[:, 1:], np.zeros((n, 1), dtype=payload.dtype)], axis=1)
-    segments = rng.standard_gamma(lengths, size=(n, k, 3))
-    segments *= np.where(later == 1, p1, p0)[:, :, None]
+    low, high = np.sort([tau % width, (tau - tau_hat) % width], axis=0)
+    segments = rng.standard_gamma(np.stack([low, high - low, width - high], 1)[:, None], (n, k, 3))
+    later, power = energy[:, 1 + head :].reshape(n, k, 3), np.where(payload[:, 1:], p1, p0)
+    for j in range(3):  # a segment of every bit at a time runs faster than all at once
+        np.multiply(segments[:, :-1, j], power, out=later[:, :-1, j])
+    np.multiply(segments[:, -1], p0, out=later[:, -1])
+    del segments, power  # the window step below sets the batch's peak memory
+    np.cumsum(energy, axis=1, out=energy)  # a window's energy: the difference at its ends
+    threshold = ed_threshold(width, p0, p1)
+    # clocks lie in (-N_p, N], so only a clock's first `early` ends can lie in bit 0
+    early, steps = min(k + 1, (width + span - 1) // width + 1), 3 * np.arange(k + 1)
 
-    # energy[i, m]: the energy of trial i from position -2 N_p up to its m-th
-    # sample (m <= 2 N_p + N), then up to each later cut; every window is the
-    # difference of the energies at its two ends
-    energy = np.concatenate([np.zeros((n, 1)), near, segments.reshape(n, 3 * k)], axis=1)
-    np.cumsum(energy, axis=1, out=energy)
-    del near, segments  # the window step below sets the batch's peak memory
-
-    def windows(clock):
+    def ends(clock):
         # a clock crosses every later bit at the same offset: cut 0, 1 or 2
         whole, offset = np.divmod(clock, width)
-        cut = np.where(offset == 0, 0, np.where(offset == cuts[:, 0], 1, 2))
-        ends = clock[:, None] + width * np.arange(k + 1)
-        beyond = (width + 3 * (whole - 1) + cut)[:, None] + 3 * np.arange(k + 1)
-        index = np.where(ends <= width, ends, beyond) + 2 * span
-        return np.diff(np.take_along_axis(energy, index, axis=1), axis=1)
+        base = rows + 3 * whole + (offset > 0) + (offset > low) + (width - 3)
+        index, inside = base[:, None] + steps, clock[:, None] + width * np.arange(early)
+        index[:, :early] = np.where(inside <= width, rows[:, None] + inside, index[:, :early])
+        return index
 
-    threshold = ed_threshold(width, p0, p1)
-    bit_errors = [
-        (_decide(windows(clock), threshold, p0, p1) != payload).sum(axis=1)
-        for clock in (np.zeros_like(tau), tau, tau - tau_hat)
-    ]
-    return tau_hat, np.stack(bit_errors, axis=1)
+    def errors(index):
+        at = flat.take(index)
+        return (_decide(at[:, 1:] - at[:, :-1], threshold, p0, p1) != payload).sum(axis=1)
+
+    # the ideal clock's ends are fixed: bit 0's start and end, then each cut 0
+    ideal = errors(rows[:, None] + np.where(steps, steps + width - 3, 0))
+    return tau_hat, np.stack([ideal, errors(ends(tau)), errors(ends(tau - tau_hat))], axis=1)
 
 
 def _execute(config: ExperimentConfig, cells: tuple) -> np.ndarray:
@@ -564,7 +564,7 @@ def _ber(config: ExperimentConfig, cells: tuple, counts: np.ndarray) -> BerResul
 _KINDS = {
     "mae_vs_snr": (_mae, ("symbol_samples",), (130, 1.6)),
     "error_hist": (_error_hist, ("snr_grid_db", "pilot_pairs", "symbol_samples"), (130, 1.6)),
-    "ber_compare": (_ber, ("pilot_pairs",), (390, 15)),
+    "ber_compare": (_ber, ("pilot_pairs",), (375, 11.5)),
 }
 
 

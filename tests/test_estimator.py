@@ -332,6 +332,22 @@ def test_offset_output_domain(seed, rows, cols):
     assert (neg_min <= tau_hat <= -2) or (1 <= tau_hat <= pos_max)
 
 
+@pytest.mark.parametrize("cols", [4, 5, 16, 30])
+def test_scan_returns_exactly_its_admissible_offsets(cols):
+    # the scan's estimates are -(ceil(N_p/2) - 1)..-2 and 1..floor(N_p/2):
+    # -14..-2 and 1..15 at N_p = 30. A step in the column sums after any
+    # candidate column reaches each of them, and no sums give 0 or -1,
+    # although the config admits both offsets
+    admissible = set(range(-(math.ceil(cols / 2) - 1), -1)) | set(range(1, cols // 2 + 1))
+    steps = [np.r_[np.full(n0, low), np.full(cols - n0, 1.0)]
+             for n0 in range(2, cols) for low in (0.05, 20.0)]
+    assert set(scan_sto(np.array(steps)).tolist()) == admissible
+    # column sums of one and of 30 pilot rows of equal power
+    rows = np.repeat([[1.0], [30.0]], 3000, axis=0)
+    sums = np.random.default_rng(cols).standard_gamma(rows, size=(6000, cols))
+    assert set(scan_sto(sums).tolist()) <= admissible
+
+
 def test_recovery_rate_nondecreasing_in_pilot_length():
     # physical pilot trials at 10 dB: hit rate grows with L (2-SE slack)
     snr_db = 10.0

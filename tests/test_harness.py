@@ -12,6 +12,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from ambcsync import (
@@ -35,6 +37,7 @@ from ambcsync import (
 from ambcsync import cli, harness
 from ambcsync.cli import cli_main
 from ambcsync.signal_model import gen_cgn_block
+import oracles
 
 
 def mae_config(**kw):
@@ -768,6 +771,44 @@ def test_ber_sampler_keeps_the_joint_frame_law(monkeypatch):
     assert sum(sampled.values()) == sum(frames.values()) == config.trials
     p_value = homogeneity_p(sampled, frames)
     assert p_value > STREAM_LAW_P_MIN, p_value
+
+
+@st.composite
+def ber_geometries(draw):
+    """A BER cell's geometry and offsets as the config admits them: |tau| up
+    to ceil(N_p/2) - 1, negative offsets always drawn, and N often so small
+    that a compensated clock -N_p < tau - tau_hat < -N crosses bit 0 twice."""
+    span = draw(st.integers(4, 20))
+    most = (span + 1) // 2 - 1
+    taus = draw(st.lists(st.integers(-most, most), min_size=1, max_size=4))
+    taus.append(-most)
+    # the guard bit absorbs the latest compensated clock (ExperimentConfig's bound)
+    width = draw(st.integers(max(1, max(taus) + most), max(taus) + most + 8))
+    return dict(span=span, taus=taus, width=width, pairs=draw(st.integers(1, 4)),
+                k=draw(st.integers(1, 5)), n=draw(st.integers(1, 12)),
+                static=draw(st.booleans()), seed=draw(st.integers(0, 2**32)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ber_geometries())
+def test_ber_sampler_matches_its_reference_exactly(geometry):
+    # the harness's BER sampler writes its draws into the cumulative energy
+    # array and gathers windows by flat index; the reference draws the same
+    # variates and reads them by concatenation and take_along_axis. From
+    # equal generators both must give the same estimates and bit errors and
+    # leave the generators in the same state
+    g = SimpleNamespace(**geometry)
+    frame = FrameConfig(1, g.pairs, g.span, g.k, g.width)
+    channel = ChannelModel("static", rho=0.5) if g.static else ChannelModel()
+    rng = np.random.default_rng(g.seed)
+    tau = rng.choice(g.taus, size=g.n)
+    p0, p1 = harness._channel_powers(rng, channel, np.full(g.n, 0.1))
+    ours, theirs = (np.random.default_rng([g.seed, 1]) for _ in range(2))
+    tau_hat, errors = harness._payload_frames(ours, frame, tau, p0, p1)
+    expected_tau_hat, expected_errors = oracles.payload_frames(theirs, frame, tau, p0, p1)
+    np.testing.assert_array_equal(tau_hat, expected_tau_hat)
+    np.testing.assert_array_equal(errors, expected_errors)
+    assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 # grids whose batches cross cell edges: every full batch of the MAE grid
