@@ -59,18 +59,19 @@ Each window is decided against its trial's threshold.  The sample-level
 path (``synthesize_received``, ``estimate_sto``, ``detect_frame``) stays
 in the library, and the tests hold the batch samplers to it.
 
-A run whose inline time, estimated from the config alone, is below
-``FORK_BREAK_EVEN_US`` runs in the calling process.  A larger one uses one
-process per task, capped by ``threads`` and the usable CPUs: its batches
-are cut into contiguous shares of equal count (every batch but the last is
-full, so the shares balance trials too), the calling process runs the last
-share, and a forked child runs each other one.  A share sums its batches'
-counts into one table as it runs, and a child pickles that table back over
-a pipe, so a run's memory does not grow with its length.  A child that
-ends without a result, killed by a signal for instance, fails the run, and
-no child outlives it.  Without ``os.fork`` every task runs in this process.
-Batches do not depend on the worker count, and all aggregation is over
-integer accumulators, so results are byte-identical for any worker count.
+A run whose estimated inline time, its kind's cost per batch times its
+batch count, is below ``FORK_BREAK_EVEN_US`` runs in the calling process.
+A larger one uses one process per task, capped by ``threads`` and the
+usable CPUs: its batches are cut into contiguous shares of equal count
+(every batch but the last is full, so the shares balance trials too), the
+calling process runs the last share, and a forked child runs each other
+one.  A share sums its batches' counts into one table as it runs, and a
+child pickles that table back over a pipe, so a run's memory does not grow
+with its length.  A child that ends without a result, killed by a signal
+for instance, fails the run, and no child outlives it.  Without
+``os.fork`` every task runs in this process.  Batches do not depend on the
+worker count, and all aggregation is over integer accumulators, so results
+are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -82,6 +83,7 @@ import os
 import pickle
 import signal
 import traceback
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,8 +161,8 @@ class ExperimentConfig:
         symbol_samples: per-symbol sample counts N; the BER experiment
             sweeps them, the others take one, the trailing guard bit's length.
         data_symbols: payload bits per frame (BER experiment).
-        tau_choices: candidate timing offsets; each trial draws uniformly
-            from this set (a singleton pins the offset).
+        tau_choices: candidate timing offsets, each given once; each trial
+            draws uniformly from this set (a singleton pins the offset).
         seed: non-negative root seed for the substream derivation.
         threads: the most processes to use, a positive integer; the default
             is the usable CPUs.  A run too small to pay for a forked worker
@@ -205,6 +207,10 @@ class ExperimentConfig:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.threads is not None and self.threads < 1:
             raise ValueError(f"threads must be a positive integer, got {self.threads}")
+        # a trial draws uniformly from the set: a repeated offset would weigh double
+        repeated = [tau for tau, count in Counter(self.tau_choices).items() if count > 1]
+        if repeated:
+            raise ValueError(f"tau_choices repeats the offset {repeated[0]}")
         for name in _KINDS[self.kind][1]:
             if len(getattr(self, name)) != 1:
                 raise ValueError(f"{self.kind} takes one {name} value, got {getattr(self, name)}")
@@ -275,28 +281,24 @@ class BerResult:
 
 def _cells(config: ExperimentConfig) -> tuple[tuple[float, int, FrameConfig, float], ...]:
     """(SNR, swept value, frame, noise power) for each grid cell, in row order:
-    the BER experiment sweeps N at its one L, the others sweep L with no payload."""
-    def frame(pairs: int, k: int, n: int) -> FrameConfig:
-        return FrameConfig(PREAMBLE_BITS, pairs, config.pilot_bit_samples, k, n)
-
-    snrs = config.snr_grid_db
-    if config.kind == "ber_compare":
-        pairs, k = config.pilot_pairs[0], config.data_symbols
-        grid = [(snr, n, frame(pairs, k, n)) for snr in snrs for n in config.symbol_samples]
-    else:
-        n = config.symbol_samples[0]
-        grid = [(snr, pairs, frame(pairs, 0, n)) for snr in snrs for pairs in config.pilot_pairs]
+    the BER experiment sweeps N at its one L, the others sweep L with no
+    payload; an axis that a kind does not sweep holds one value (see _KINDS)."""
+    ber, span = config.kind == "ber_compare", config.pilot_bit_samples
+    k = config.data_symbols if ber else 0
     # resolving the noise power also checks the SNR's range and reference
-    return tuple((*c, config.channel.noise_for_snr(c[0], config.snr_reference)) for c in grid)
+    return tuple(
+        (snr, n if ber else pairs, FrameConfig(PREAMBLE_BITS, pairs, span, k, n),
+         config.channel.noise_for_snr(snr, config.snr_reference))
+        for snr in config.snr_grid_db for pairs in config.pilot_pairs for n in config.symbol_samples
+    )
 
 
 def _run_task(args) -> np.ndarray:
     """Run one batch of frames; every experiment kind runs this task.
 
-    ``args`` is (config, cells, batch), with ``cells`` as ``_cells`` builds
-    them once per config.  The run's frames are numbered cell by cell, and
-    batch b holds frames b * BLOCK onwards, up to ``BLOCK`` of them, from one
-    cell or several.
+    ``args`` is (config, batch).  The run's frames are numbered cell by cell
+    of the config's cell table, and batch b holds frames b * BLOCK onwards,
+    up to ``BLOCK`` of them, from one cell or several.
 
     Returns int64 counts, one row per cell the batch reaches, the first being
     cell b * BLOCK // trials: entry i < 2 N_p + 1 counts the signed
@@ -305,8 +307,8 @@ def _run_task(args) -> np.ndarray:
     compensation and the estimated compensation (zero for a frame without
     payload).
     """
-    config, cells, batch = args
-    trials, span = config.trials, config.pilot_bit_samples
+    config, batch = args
+    cells, trials, span = config._cell_table, config.trials, config.pilot_bit_samples
     start = batch * BLOCK
     stop = min(start + BLOCK, len(cells) * trials)
     first, last = start // trials, (stop - 1) // trials
@@ -423,46 +425,42 @@ def _payload_frames(rng, frame, tau, p0, p1) -> tuple[np.ndarray, np.ndarray]:
     return tau_hat, np.stack([ideal, errors(ends(tau)), errors(ends(tau - tau_hat))], axis=1)
 
 
-def _execute(config: ExperimentConfig, cells: tuple) -> np.ndarray:
+def _execute(config: ExperimentConfig) -> np.ndarray:
     """Run every batch of the run's frames; returns the counts summed per
-    cell, one row per cell of ``cells`` (see ``_run_task``)."""
-    batches = -(-len(cells) * config.trials // BLOCK)
+    cell, one row per cell of the config's cell table (see ``_run_task``)."""
+    batches = -(-len(config._cell_table) * config.trials // BLOCK)
     affinity = getattr(os, "sched_getaffinity", None)  # the CPUs this process may use
-    processes = _processes(config, len(affinity(0)) if affinity else os.cpu_count() or 1)
+    processes = _processes(config, batches, len(affinity(0)) if affinity else os.cpu_count() or 1)
     if processes == 1 or not hasattr(os, "fork"):
-        return _run_share(config, cells, range(batches))
+        return _run_share(config, range(batches))
     # every batch but the last is full, so an even cut by count balances trials
     cuts = [batches * share // processes for share in range(processes + 1)]
-    return _run_forked(config, cells, [range(a, b) for a, b in zip(cuts, cuts[1:])])
+    return _run_forked(config, [range(a, b) for a, b in zip(cuts, cuts[1:])])
 
 
-def _processes(config: ExperimentConfig, cores: int) -> int:
-    """Processes that run the config's tasks with ``cores`` usable CPUs: one
-    while the estimated inline time is below ``FORK_BREAK_EVEN_US``, else one
-    per task, capped by ``threads`` and ``cores``.  Reads no clock."""
-    # an axis that a kind does not sweep holds one value (see _KINDS)
-    cells = len(config.snr_grid_db) * len(config.pilot_pairs) * len(config.symbol_samples)
-    tasks = -(-cells * config.trials // BLOCK)
-    per_task, per_trial = _KINDS[config.kind][2]
-    if per_task * tasks + per_trial * cells * config.trials < FORK_BREAK_EVEN_US:
+def _processes(config: ExperimentConfig, batches: int, cores: int) -> int:
+    """Processes that run the config's ``batches`` tasks with ``cores`` usable
+    CPUs: one while the estimated inline time is below ``FORK_BREAK_EVEN_US``,
+    else one per task, capped by ``threads`` and ``cores``.  Reads no clock."""
+    if _KINDS[config.kind][2] * batches < FORK_BREAK_EVEN_US:
         return 1
-    return min(config.threads or cores, tasks, cores)
+    return min(config.threads or cores, batches, cores)
 
 
-def _run_share(config: ExperimentConfig, cells: tuple, batches: range) -> np.ndarray:
+def _run_share(config: ExperimentConfig, batches: range) -> np.ndarray:
     """Run the batches of one share; returns their counts summed per cell,
-    one row per cell of ``cells``."""
+    one row per cell of the config's cell table."""
     # 2 N_p + 1 error counts and 3 bit-error counts per cell (see _run_task)
-    counts = np.zeros((len(cells), 2 * config.pilot_bit_samples + 4), dtype=np.int64)
+    counts = np.zeros((len(config._cell_table), 2 * config.pilot_bit_samples + 4), dtype=np.int64)
     for batch in batches:
         first = batch * BLOCK // config.trials
         # the module global, so that a wrapper installed on it runs here too
-        output = _run_task((config, cells, batch))
+        output = _run_task((config, batch))
         counts[first : first + len(output)] += output
     return counts
 
 
-def _run_forked(config: ExperimentConfig, cells: tuple, shares: list[range]) -> np.ndarray:
+def _run_forked(config: ExperimentConfig, shares: list[range]) -> np.ndarray:
     """Run the last share here and each other share in a child forked for
     it; returns the counts of every share summed.  A child's exception is
     raised here, its traceback added as a note, and a child that ends with no
@@ -476,14 +474,14 @@ def _run_forked(config: ExperimentConfig, cells: tuple, shares: list[range]) -> 
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _serve_share(config, cells, share, write_end)  # never returns
+                    _serve_share(config, share, write_end)  # never returns
             except BaseException:
                 os.close(read_end)
                 raise
             finally:
                 os.close(write_end)
             children.append((pid, open(read_end, "rb")))
-        counts = _run_share(config, cells, shares[-1])
+        counts = _run_share(config, shares[-1])
         while children:
             pid, pipe = children[0]
             with pipe:
@@ -508,14 +506,14 @@ def _run_forked(config: ExperimentConfig, cells: tuple, shares: list[range]) -> 
             os.waitpid(pid, 0)
 
 
-def _serve_share(config: ExperimentConfig, cells: tuple, share: range, write_end: int) -> None:
+def _serve_share(config: ExperimentConfig, share: range, write_end: int) -> None:
     """Run one share in a forked child, pickle its counts or its exception to
     ``write_end``, and leave without running the parent's exit handlers or
     flushing the stdio buffers copied from it."""
     code = 1
     try:
         try:
-            result = _run_share(config, cells, share)
+            result = _run_share(config, share)
         except BaseException as exc:
             note = f"in a worker process:\n{traceback.format_exc()}"
             exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
@@ -527,18 +525,18 @@ def _serve_share(config: ExperimentConfig, cells: tuple, share: range, write_end
         os._exit(code)
 
 
-def _mae(config: ExperimentConfig, cells: tuple, counts: np.ndarray) -> MaeResult:
+def _mae(config: ExperimentConfig, counts: np.ndarray) -> MaeResult:
     """Mean absolute estimation error per (SNR, L) cell."""
     span = config.pilot_bit_samples
     abs_errors = np.abs(np.arange(-span, span + 1))
     rows = []
-    for (snr, pairs, _, _), c in zip(cells, counts):
+    for (snr, pairs, _, _), c in zip(config._cell_table, counts):
         abs_sum = int(abs_errors @ c[: 2 * span + 1])
         rows.append((snr, pairs, abs_sum / config.trials, config.trials))
     return MaeResult(rows=tuple(rows))
 
 
-def _error_hist(config: ExperimentConfig, cells: tuple, counts: np.ndarray) -> ErrorHistResult:
+def _error_hist(config: ExperimentConfig, counts: np.ndarray) -> ErrorHistResult:
     """Empirical pmf of the signed estimation error at one (SNR, L) point."""
     span = config.pilot_bit_samples
     probs = {
@@ -549,29 +547,29 @@ def _error_hist(config: ExperimentConfig, cells: tuple, counts: np.ndarray) -> E
     return ErrorHistResult(probabilities=probs)
 
 
-def _ber(config: ExperimentConfig, cells: tuple, counts: np.ndarray) -> BerResult:
+def _ber(config: ExperimentConfig, counts: np.ndarray) -> BerResult:
     """Paired BER under no compensation, estimated compensation, and ideal sync."""
     bits = config.trials * config.data_symbols
     rows = []
-    for (snr, n, _, _), c in zip(cells, counts):
+    for (snr, n, _, _), c in zip(config._cell_table, counts):
         e_ideal, e_nocomp, e_comp = (int(e) for e in c[-3:])
         rows.append((snr, n, e_nocomp / bits, e_comp / bits, e_ideal / bits, bits))
     return BerResult(rows=tuple(rows))
 
 
-# kind -> (aggregator of the cells and their summed counts, the config fields the kind
-# does not sweep and so takes one value of, inline µs per task and per trial)
+# kind -> (aggregator of the summed counts per cell, the config fields the kind does
+# not sweep and so takes one value of, inline µs per batch of BLOCK frames, as
+# fitted per task plus per trial: 130 + 256 * 1.6 and 375 + 256 * 11.5)
 _KINDS = {
-    "mae_vs_snr": (_mae, ("symbol_samples",), (130, 1.6)),
-    "error_hist": (_error_hist, ("snr_grid_db", "pilot_pairs", "symbol_samples"), (130, 1.6)),
-    "ber_compare": (_ber, ("pilot_pairs",), (375, 11.5)),
+    "mae_vs_snr": (_mae, ("symbol_samples",), 540),
+    "error_hist": (_error_hist, ("snr_grid_db", "pilot_pairs", "symbol_samples"), 540),
+    "ber_compare": (_ber, ("pilot_pairs",), 3320),
 }
 
 
 def run_experiment(config: ExperimentConfig) -> MaeResult | ErrorHistResult | BerResult:
     """Run every trial of the experiment and aggregate them by its kind."""
-    cells = config._cell_table
-    return _KINDS[config.kind][0](config, cells, _execute(config, cells))
+    return _KINDS[config.kind][0](config, _execute(config))
 
 
 def write_csv(text: str, path: str) -> None:

@@ -67,6 +67,9 @@ def test_config_validation():
         mae_config(tau_choices=())
     with pytest.raises(ValueError):
         mae_config(tau_choices=(-8,))  # 2|tau| == N_p
+    # a trial draws uniformly from the offsets, so a repeated one would weigh double
+    with pytest.raises(ValueError, match="repeats the offset 5"):
+        mae_config(tau_choices=(-5, 5, 5))
     with pytest.raises(ValueError):
         mae_config(tau_choices=(5,), symbol_samples=(4,))  # guard too short
     with pytest.raises(ValueError, match="one symbol_samples"):
@@ -173,9 +176,9 @@ def inline_workers(monkeypatch, forked):
     returns the (processes, tasks) of each such run."""
     runs = []
 
-    def run_inline(config, cells, shares):
+    def run_inline(config, shares):
         runs.append((len(shares), shares[-1].stop))
-        return sum(harness._run_share(config, cells, share) for share in shares)
+        return sum(harness._run_share(config, share) for share in shares)
 
     monkeypatch.setattr(harness, "_run_forked", run_inline)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
@@ -185,7 +188,7 @@ def inline_workers(monkeypatch, forked):
 
 def counts_of(config):
     """Each cell's summed counts, as ``run_experiment`` aggregates them."""
-    return harness._execute(config, harness._cells(config))
+    return harness._execute(config)
 
 
 def test_resolve_threads(inline_workers):
@@ -235,9 +238,9 @@ def test_shares_split_tasks_contiguously_by_trials(monkeypatch, forked, sizes):
     # get, on a machine of 64 cores
     seen = []
 
-    def record(config, cells, shares):
+    def record(config, shares):
         seen.append(shares)
-        return harness._run_share(config, cells, range(0))  # all-zero counts
+        return harness._run_share(config, range(0))  # all-zero counts
 
     monkeypatch.setattr(harness, "_run_forked", record)
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
@@ -280,12 +283,13 @@ FORK_DECISIONS = [
 )
 def test_fork_decision_is_a_function_of_the_config(fields, processes):
     config = ExperimentConfig(**fields)
-    assert harness._processes(config, 2) == processes
-    assert [harness._processes(config, 2) for _ in range(5)] == [processes] * 5
+    batches = -(-len(config._cell_table) * config.trials // harness.BLOCK)
+    assert harness._processes(config, batches, 2) == processes
+    assert [harness._processes(config, batches, 2) for _ in range(5)] == [processes] * 5
     # threads caps the count: one thread is one process on any machine
     for cores in (1, 2, 64):
-        assert harness._processes(replace(config, threads=1), cores) == 1
-    assert harness._processes(config, 1) == 1
+        assert harness._processes(replace(config, threads=1), batches, cores) == 1
+    assert harness._processes(config, batches, 1) == 1
 
 
 # ------------------------------------------------------------- worker processes
@@ -355,7 +359,7 @@ def test_worker_exception_reraised_with_its_type():
 # batch 0 fails in the worker, while this process may still run its share
 def fail_in_block_0(args):
     if args[-1] == 0:
-        raise ValueError(f"planted failure in batch 0 of {len(args[1])} cell(s)")
+        raise ValueError(f"planted failure in batch 0 of {len(args[0]._cell_table)} cell(s)")
     return run_task(args)
 
 harness._run_task = fail_in_block_0
@@ -441,17 +445,6 @@ check_clean()
 # ------------------------------------------------------------------ determinism
 
 
-@pytest.mark.usefixtures("forked")
-def test_mae_deterministic_and_worker_independent():
-    config = mae_config()
-    first = run_experiment(config)
-    again = run_experiment(config)
-    assert first == again
-    multi = run_experiment(replace(config, threads=2))
-    assert multi == first
-    assert multi.to_csv() == first.to_csv()
-
-
 def test_default_channel_fields_change_nothing():
     spelled = dict(channel=ChannelModel("rayleigh", rho=1.0), snr_reference="source")
     configs = (
@@ -467,36 +460,30 @@ def test_default_channel_fields_change_nothing():
         assert run_experiment(replace(config, **spelled)).to_csv() == implicit
 
 
-@pytest.mark.usefixtures("forked")
-def test_static_channel_worker_independent():
-    static = dict(channel=ChannelModel("static", rho=0.5), snr_reference="mean_received")
-    configs = {
-        "mae": mae_config(trials=120, **static),
-        "ber": ExperimentConfig(
-            kind="ber_compare", snr_grid_db=(5.0, 15.0), trials=40, pilot_pairs=(8,),
-            pilot_bit_samples=16, symbol_samples=(12,), data_symbols=5,
-            tau_choices=(-5, 5), seed=3, **static,
-        ),
-    }
-    for name, config in configs.items():
-        outputs = {run_experiment(replace(config, threads=w)).to_csv() for w in (1, 4)}
-        assert len(outputs) == 1, name
+STATIC = dict(channel=ChannelModel("static", rho=0.5), snr_reference="mean_received")
 
 
 @pytest.mark.usefixtures("forked")
 @pytest.mark.parametrize(
-    "trials", [harness.BLOCK - 1, harness.BLOCK, harness.BLOCK + 1, 3 * harness.BLOCK + 7]
+    "trials, channel",
+    [
+        pytest.param(trials, channel, id=f"{name}{trials}")
+        for name, channel in (("", {}), ("static-", STATIC))
+        for trials in (harness.BLOCK - 1, harness.BLOCK, harness.BLOCK + 1, 3 * harness.BLOCK + 7)
+    ],
 )
-def test_pilot_blocks_worker_independent(trials):
+def test_pilot_blocks_worker_independent(trials, channel):
     # every kind runs one task per batch of BLOCK frames, a partial batch
-    # last; any number of processes gives the same output, and every trial
-    # counts once
+    # last; any number of processes gives the same output, on either
+    # channel, and every trial counts once
     configs = (
-        mae_config(trials=trials, snr_grid_db=(10.0,)),
-        mae_config(kind="error_hist", trials=trials, snr_grid_db=(10.0,), pilot_pairs=(8,)),
+        mae_config(trials=trials, snr_grid_db=(10.0,), **channel),
+        mae_config(
+            kind="error_hist", trials=trials, snr_grid_db=(10.0,), pilot_pairs=(8,), **channel
+        ),
         mae_config(
             kind="ber_compare", trials=trials, snr_grid_db=(10.0,), pilot_pairs=(8,),
-            symbol_samples=(12, 20), data_symbols=5,
+            symbol_samples=(12, 20), data_symbols=5, **channel,
         ),
     )
     for config in configs:
@@ -547,17 +534,6 @@ def test_single_trial_repeatable():
     assert run_experiment(config) == run_experiment(config)
 
 
-@pytest.mark.usefixtures("forked")
-def test_hist_worker_independent():
-    config = ExperimentConfig(
-        kind="error_hist", snr_grid_db=(10.0,), trials=500, pilot_pairs=(8,),
-        pilot_bit_samples=16, tau_choices=(-5, 5), seed=3, threads=1,
-    )
-    a = run_experiment(config)
-    b = run_experiment(replace(config, threads=2))
-    assert a == b
-
-
 def planted_first_draw(monkeypatch, planted):
     """Make the harness's first ``draw_channel`` call return ``planted`` and
     later calls draw as usual; returns the (size, noise powers) of every call."""
@@ -605,7 +581,7 @@ def test_pilot_blocks_redraw_degenerate_channels(monkeypatch):
         return pilot_sums(rng, rows, edges, tau, span, p0, p1)
 
     monkeypatch.setattr(harness, "_pilot_sums", recording)
-    (counts,) = harness._run_task((config, harness._cells(config), 0))
+    (counts,) = harness._run_task((config, 0))
     assert [n for n, _ in calls] == [3, 1]
     ((p0, p1),) = seen
     assert p0[0::2] == [1.0, 4.0] and p1[0::2] == [3.0, 0.5]
@@ -1082,7 +1058,7 @@ def test_cli_bad_flag_exits_2(capsys):
         (["--trials", "0"], "trials"), (["--snr", "nan"], "finite"),
         (["--threads", "-3"], "threads"), (["--threads", "0"], "threads"),
         (["--snr", "-4000"], "-4000"), (["--seed", "-1"], "seed"),
-        (["--n", "50,100"], "symbol_samples"),
+        (["--n", "50,100"], "symbol_samples"), (["--tau", "-10..-5,-6"], "offset -6"),
     ],
 )
 def test_cli_bad_value_exits_2_before_any_trial(tmp_path, capsys, run_spy, flags, word):
