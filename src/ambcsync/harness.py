@@ -59,19 +59,18 @@ Each window is decided against its trial's threshold.  The sample-level
 path (``synthesize_received``, ``estimate_sto``, ``detect_frame``) stays
 in the library, and the tests hold the batch samplers to it.
 
-A run whose estimated inline time, its kind's cost per batch times its
-batch count, is below ``FORK_BREAK_EVEN_US`` runs in the calling process.
-A larger one uses one process per task, capped by ``threads`` and the
-usable CPUs: its batches are cut into contiguous shares of equal count
-(every batch but the last is full, so the shares balance trials too), the
-calling process runs the last share, and a forked child runs each other
-one.  A share sums its batches' counts into one table as it runs, and a
-child pickles that table back over a pipe, so a run's memory does not grow
-with its length.  A child that ends without a result, killed by a signal
-for instance, fails the run, and no child outlives it.  Without
-``os.fork`` every task runs in this process.  Batches do not depend on the
-worker count, and all aggregation is over integer accumulators, so results
-are byte-identical for any worker count.
+A run gets one process per ``FORK_BREAK_EVEN_US`` of estimated inline time
+(its kind's cost per batch times its batch count), at least one and at
+most ``threads``, the usable CPUs or its batch count.  Its batches are cut
+into that many contiguous shares of equal count (every batch but the last
+is full, so the shares balance trials too); the calling process runs the
+last share, and a forked child each other one.  A share sums its batches'
+counts into one table as it runs, and a child pickles that table back over
+a pipe, so a run's memory does not grow with its length.  A child that
+ends without a result, killed by a signal for instance, fails the run, and
+no child outlives it.  Without ``os.fork`` a run has one share.  Batches
+do not depend on the worker count, and all aggregation is over integer
+accumulators, so results are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -108,8 +107,8 @@ PREAMBLE_BITS = 1
 # do not depend on the worker count
 BLOCK = 256
 
-# estimated inline µs below which a run forks no worker: a child costs 5-10 ms
-# to fork and fault in (BENCH_22.json; per-batch fits: BENCH_23/27.json)
+# estimated inline µs that each process's share must reach to pay for a forked
+# child, which costs 5-10 ms to fork and fault in (2 cores: BENCH_22/23/27.json)
 FORK_BREAK_EVEN_US = 24_000
 
 # frames whose on/off powers lie closer than this relative gap have no
@@ -132,7 +131,7 @@ def _as_int(name: str, value) -> int:
 
 
 def _as_axis(name: str, values, item_type: type) -> tuple:
-    """``values``, a non-empty sequence, as a tuple of Python ints or finite floats."""
+    """``values``, a non-empty sequence without repeats, as a tuple of ints or finite floats."""
     try:
         items = tuple(values)
     except TypeError:
@@ -140,10 +139,16 @@ def _as_axis(name: str, values, item_type: type) -> tuple:
     if not items:
         raise ValueError(f"{name} must be a non-empty sequence, got {values!r}")
     if item_type is int:
-        return tuple(_as_int(name, v) for v in items)
-    if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in items):
+        items = tuple(_as_int(name, v) for v in items)
+    elif all(isinstance(v, numbers.Real) and math.isfinite(v) for v in items):
+        items = tuple(map(float, items))
+    else:
         raise ValueError(f"{name} must hold finite real numbers, got {values!r}")
-    return tuple(map(float, items))
+    # a repeated grid value would run its cells twice, a repeated offset weigh double
+    repeated = [v for v, count in Counter(items).items() if count > 1]
+    if repeated:
+        raise ValueError(f"{name} repeats the value {repeated[0]}")
+    return items
 
 
 @dataclass(frozen=True)
@@ -164,9 +169,8 @@ class ExperimentConfig:
         tau_choices: candidate timing offsets, each given once; each trial
             draws uniformly from this set (a singleton pins the offset).
         seed: non-negative root seed for the substream derivation.
-        threads: the most processes to use, a positive integer; the default
-            is the usable CPUs.  A run too small to pay for a forked worker
-            stays in the calling process, which also works one share.
+        threads: the most processes to use, a positive integer, by default
+            the usable CPUs; a small run uses fewer (see the module docstring).
         channel: channel law; the default is Rayleigh block fading with one
             draw per frame.
         snr_reference: signal power the SNR refers to, ``source`` (the
@@ -207,10 +211,6 @@ class ExperimentConfig:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.threads is not None and self.threads < 1:
             raise ValueError(f"threads must be a positive integer, got {self.threads}")
-        # a trial draws uniformly from the set: a repeated offset would weigh double
-        repeated = [tau for tau, count in Counter(self.tau_choices).items() if count > 1]
-        if repeated:
-            raise ValueError(f"tau_choices repeats the offset {repeated[0]}")
         for name in _KINDS[self.kind][1]:
             if len(getattr(self, name)) != 1:
                 raise ValueError(f"{self.kind} takes one {name} value, got {getattr(self, name)}")
@@ -430,21 +430,19 @@ def _execute(config: ExperimentConfig) -> np.ndarray:
     cell, one row per cell of the config's cell table (see ``_run_task``)."""
     batches = -(-len(config._cell_table) * config.trials // BLOCK)
     affinity = getattr(os, "sched_getaffinity", None)  # the CPUs this process may use
-    processes = _processes(config, batches, len(affinity(0)) if affinity else os.cpu_count() or 1)
-    if processes == 1 or not hasattr(os, "fork"):
-        return _run_share(config, range(batches))
+    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
+    processes = _processes(config, batches, cores if hasattr(os, "fork") else 1)
     # every batch but the last is full, so an even cut by count balances trials
     cuts = [batches * share // processes for share in range(processes + 1)]
-    return _run_forked(config, [range(a, b) for a, b in zip(cuts, cuts[1:])])
+    return _run_shares(config, [range(a, b) for a, b in zip(cuts, cuts[1:])])
 
 
 def _processes(config: ExperimentConfig, batches: int, cores: int) -> int:
     """Processes that run the config's ``batches`` tasks with ``cores`` usable
-    CPUs: one while the estimated inline time is below ``FORK_BREAK_EVEN_US``,
-    else one per task, capped by ``threads`` and ``cores``.  Reads no clock."""
-    if _KINDS[config.kind][2] * batches < FORK_BREAK_EVEN_US:
-        return 1
-    return min(config.threads or cores, batches, cores)
+    CPUs: one per ``FORK_BREAK_EVEN_US`` of estimated inline time, at least
+    one, capped by ``threads``, ``cores`` and ``batches``.  Reads no clock."""
+    worth = _KINDS[config.kind][2] * batches // FORK_BREAK_EVEN_US
+    return max(1, min(config.threads or cores, cores, batches, worth))
 
 
 def _run_share(config: ExperimentConfig, batches: range) -> np.ndarray:
@@ -460,12 +458,13 @@ def _run_share(config: ExperimentConfig, batches: range) -> np.ndarray:
     return counts
 
 
-def _run_forked(config: ExperimentConfig, shares: list[range]) -> np.ndarray:
+def _run_shares(config: ExperimentConfig, shares: list[range]) -> np.ndarray:
     """Run the last share here and each other share in a child forked for
-    it; returns the counts of every share summed.  A child's exception is
-    raised here, its traceback added as a note, and a child that ends with no
-    result raises RuntimeError.  Every child is reaped, killed first if it
-    still runs, and every pipe closed, also when this process's share raises.
+    it, so that a run of one share forks nothing and opens no pipe; returns
+    the counts of every share summed.  A child's exception is raised here,
+    its traceback added as a note, and a child that ends with no result
+    raises RuntimeError.  Every child is reaped, killed first if it still
+    runs, and every pipe closed, also when this process's share raises.
     """
     children = []  # (pid, read end of its pipe) until the child is reaped
     try:

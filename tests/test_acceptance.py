@@ -283,8 +283,9 @@ def test_criterion_7_threshold_correctness():
 
 
 def test_criterion_8_worker_count_determinism(monkeypatch):
-    # these runs are too small to pay for a worker: fork for them anyway
-    monkeypatch.setattr(harness, "FORK_BREAK_EVEN_US", 0)
+    # these runs are too small to pay for a worker: at a break-even of 1 µs
+    # every batch is worth a process of its own
+    monkeypatch.setattr(harness, "FORK_BREAK_EVEN_US", 1)
     configs = {
         "mae": ExperimentConfig(
             kind="mae_vs_snr", snr_grid_db=(5.0, 10.0), trials=600, pilot_pairs=(10,),

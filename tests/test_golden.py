@@ -34,11 +34,12 @@ CONFIGS = {
 
 
 # at 2 and 3 workers, the batch tasks run on more than one process:
-# these runs are too small to pay for a worker, so the break-even is lifted
+# these runs are too small to pay for a worker, so the break-even is
+# lowered to 1 µs, at which every batch is worth a process of its own
 @pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_golden_csv_reproduced(name, threads, monkeypatch):
-    monkeypatch.setattr(harness, "FORK_BREAK_EVEN_US", 0)
+    monkeypatch.setattr(harness, "FORK_BREAK_EVEN_US", 1)
     config = ExperimentConfig(**CONFIGS[name], threads=threads)
     expected = (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")
     assert run_experiment(config).to_csv() == expected

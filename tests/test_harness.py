@@ -67,9 +67,19 @@ def test_config_validation():
         mae_config(tau_choices=())
     with pytest.raises(ValueError):
         mae_config(tau_choices=(-8,))  # 2|tau| == N_p
-    # a trial draws uniformly from the offsets, so a repeated one would weigh double
-    with pytest.raises(ValueError, match="repeats the offset 5"):
-        mae_config(tau_choices=(-5, 5, 5))
+    # a repeated offset would weigh double, a repeated SNR, L or N would run
+    # its cells twice: every axis refuses a repeat, named with its value
+    for field, value, named in (
+        ("tau_choices", (-5, 5, 5), "5"), ("snr_grid_db", (5, 10.0, np.float32(5.0)), "5.0"),
+        ("pilot_pairs", (8, 16, 8), "8"), ("symbol_samples", (50, 50), "50"),
+    ):
+        with pytest.raises(ValueError, match=f"{field} repeats the value {named}$"):
+            mae_config(**{field: value})
+    with pytest.raises(ValueError, match="symbol_samples repeats the value 12"):
+        ExperimentConfig(
+            kind="ber_compare", snr_grid_db=(5.0,), trials=10, pilot_pairs=(8,),
+            pilot_bit_samples=16, symbol_samples=(12, 20, 12), tau_choices=(-5,),
+        )
     with pytest.raises(ValueError):
         mae_config(tau_choices=(5,), symbol_samples=(4,))  # guard too short
     with pytest.raises(ValueError, match="one symbol_samples"):
@@ -165,30 +175,27 @@ def test_non_finite_snr_rejected(snr):
 @pytest.fixture
 def forked(monkeypatch):
     """Fork workers for runs of any size: the configs here are too small to
-    pay for a worker, and would otherwise run inline."""
-    monkeypatch.setattr(harness, "FORK_BREAK_EVEN_US", 0)
+    pay for a worker, and would otherwise run in one process.  At a
+    break-even of 1 µs every batch is worth a process of its own."""
+    monkeypatch.setattr(harness, "FORK_BREAK_EVEN_US", 1)
 
 
 @pytest.fixture
 def inline_workers(monkeypatch, forked):
-    """Run the tasks of every would-be forked run inline, on a machine of 8
-    cores, 4 of which this process may run on, whatever the run's size;
-    returns the (processes, tasks) of each such run."""
+    """Run every share inline, on a machine of 8 cores, 4 of which this
+    process may run on, whatever the run's size; returns the (processes,
+    tasks) of each run of more than one share."""
     runs = []
 
     def run_inline(config, shares):
-        runs.append((len(shares), shares[-1].stop))
+        if len(shares) > 1:
+            runs.append((len(shares), shares[-1].stop))
         return sum(harness._run_share(config, share) for share in shares)
 
-    monkeypatch.setattr(harness, "_run_forked", run_inline)
+    monkeypatch.setattr(harness, "_run_shares", run_inline)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2, 5}, raising=False)
     return runs
-
-
-def counts_of(config):
-    """Each cell's summed counts, as ``run_experiment`` aggregates them."""
-    return harness._execute(config)
 
 
 def test_resolve_threads(inline_workers):
@@ -204,23 +211,6 @@ def test_resolve_threads(inline_workers):
             replace(config, threads=explicit)
 
 
-def test_pool_size_capped_by_tasks_and_cores(inline_workers):
-    pools = inline_workers
-    config = mae_config(snr_grid_db=(5.0,), pilot_pairs=(8,), trials=harness.BLOCK)
-    serial = run_experiment(config)
-    # one block is one task, which forks no worker whatever the requested count
-    assert run_experiment(replace(config, threads=64)) == serial
-    assert pools == []
-    # 64 requested workers, 3 blocks: 3 tasks need only 3 processes
-    config = replace(config, trials=3 * harness.BLOCK)
-    assert run_experiment(replace(config, threads=64)) == run_experiment(config)
-    # 10 blocks: 10 tasks, but one process per core, requested or not
-    config = replace(config, trials=10 * harness.BLOCK)
-    assert run_experiment(replace(config, threads=64)) == run_experiment(config)
-    assert run_experiment(replace(config, threads=None)) == run_experiment(config)
-    assert pools == [(3, 3), (4, 10), (4, 10)]
-
-
 @pytest.mark.parametrize(
     "sizes",
     [
@@ -234,7 +224,7 @@ def test_pool_size_capped_by_tasks_and_cores(inline_workers):
 )
 def test_shares_split_tasks_contiguously_by_trials(monkeypatch, forked, sizes):
     # a run of sum(sizes) frames has batches of these sizes; a spy in place
-    # of the forked run records the shares of every process count it can
+    # of the share runner records the shares of every process count it can
     # get, on a machine of 64 cores
     seen = []
 
@@ -242,54 +232,100 @@ def test_shares_split_tasks_contiguously_by_trials(monkeypatch, forked, sizes):
         seen.append(shares)
         return harness._run_share(config, range(0))  # all-zero counts
 
-    monkeypatch.setattr(harness, "_run_forked", record)
+    monkeypatch.setattr(harness, "_run_shares", record)
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
     config = mae_config(snr_grid_db=(5.0,), pilot_pairs=(8,), trials=sum(sizes))
     assert sizes == [min(harness.BLOCK, sum(sizes[i:])) for i in range(len(sizes))]
     for count in range(2, len(sizes) + 1):
         for _ in range(2):
-            counts_of(replace(config, threads=count))
+            harness._execute(replace(config, threads=count))
         shares, again = seen[-2:]
         assert shares == again and len(shares) == count and all(shares)
         # every batch exactly once, in order: the shares are contiguous
         assert [i for share in shares for i in share] == list(range(len(sizes)))
         trials = [sum(sizes[i] for i in share) for share in shares]
         assert max(trials) - min(trials) <= max(sizes)
-    # one process runs inline and forks no share
-    counts_of(replace(config, threads=1))
-    assert len(seen) == 2 * (len(sizes) - 1)
+    # one process runs one share of every batch
+    harness._execute(replace(config, threads=1))
+    assert seen[-1] == [range(len(sizes))] and len(seen) == 2 * (len(sizes) - 1) + 1
 
 
-# The benchmark's workloads and criterion 1's run, written out, at 2 usable
-# cores: the small MAE runs are estimated below the break-even and stay
-# inline, the BER grid and the 100k-trial run fork
+# The benchmark's workloads and criterion 1's run, written out
+MAE_QUICK_GRID = dict(kind="mae_vs_snr", snr_grid_db=tuple(2.5 * i for i in range(9)), trials=40,
+                      pilot_pairs=(20, 30, 40), pilot_bit_samples=30, tau_choices=(-10, 10))
+MAE_SWEEP = dict(kind="mae_vs_snr", snr_grid_db=(5.0, 15.0), trials=1000, pilot_pairs=(20, 30, 40),
+                 pilot_bit_samples=30, tau_choices=(-10, 10))
+BER_PAIRED = dict(kind="ber_compare", snr_grid_db=(5.0, 10.0, 15.0, 20.0), trials=300,
+                  pilot_pairs=(30,), pilot_bit_samples=30, symbol_samples=(50, 100),
+                  data_symbols=50, tau_choices=tuple(range(-10, -4)) + tuple(range(5, 11)))
+CRITERION_1 = dict(kind="mae_vs_snr", snr_grid_db=(5.0, 15.0), trials=100_000,
+                   pilot_pairs=(20, 30, 40), pilot_bit_samples=30, tau_choices=(-10, 10),
+                   seed=101, channel=ChannelModel("static", rho=0.5), snr_reference="mean_received")
+ONE_CELL = dict(kind="mae_vs_snr", snr_grid_db=(5.0,), pilot_pairs=(8,), pilot_bit_samples=16,
+                tau_choices=(-5, 5))
+
+# (config fields, usable cores, break-even µs or None for the fitted one,
+# processes): one process per break-even of estimated inline work, at least
+# one, capped by threads, cores and batches.  At 2 cores only criterion 1's
+# run is worth two; the BER grid's 33 ms is worth one at any core count
 FORK_DECISIONS = [
-    (dict(kind="mae_vs_snr", snr_grid_db=tuple(2.5 * i for i in range(9)), trials=40,
-          pilot_pairs=(20, 30, 40), pilot_bit_samples=30, tau_choices=(-10, 10)), 1),
-    (dict(kind="mae_vs_snr", snr_grid_db=(5.0, 15.0), trials=1000, pilot_pairs=(20, 30, 40),
-          pilot_bit_samples=30, tau_choices=(-10, 10)), 1),
-    (dict(kind="ber_compare", snr_grid_db=(5.0, 10.0, 15.0, 20.0), trials=300,
-          pilot_pairs=(30,), pilot_bit_samples=30, symbol_samples=(50, 100), data_symbols=50,
-          tau_choices=tuple(range(-10, -4)) + tuple(range(5, 11))), 2),
-    (dict(kind="mae_vs_snr", snr_grid_db=(5.0, 15.0), trials=100_000,
-          pilot_pairs=(20, 30, 40), pilot_bit_samples=30, tau_choices=(-10, 10), seed=101,
-          channel=ChannelModel("static", rho=0.5), snr_reference="mean_received"), 2),
+    pytest.param(MAE_QUICK_GRID, 2, None, 1, id="mae_quick_grid"),
+    pytest.param(MAE_SWEEP, 2, None, 1, id="mae_sweep"),
+    pytest.param(BER_PAIRED, 2, None, 1, id="ber_paired"),
+    pytest.param(CRITERION_1, 2, None, 2, id="criterion_1"),
+    pytest.param(BER_PAIRED, 16, None, 1, id="ber_paired-16-cores"),
+    # 2,344 batches of 540 µs: 1.27 s, 52 break-evens
+    pytest.param(CRITERION_1, 64, None, 52, id="criterion_1-64-cores"),
+    # 100 batches of 3,320 µs: 332 ms, 13 break-evens
+    pytest.param(dict(BER_PAIRED, trials=3200), 16, None, 13, id="ber-100-batches-16-cores"),
+    # one batch is one task, which forks no worker whatever the requested count
+    pytest.param(dict(ONE_CELL, trials=harness.BLOCK, threads=64), 64, 1, 1, id="one-batch"),
+    # 64 requested workers, 3 batches: 3 tasks need only 3 processes
+    pytest.param(dict(ONE_CELL, trials=3 * harness.BLOCK, threads=64), 4, 1, 3, id="batches-cap"),
+    # 10 batches: one process per core, requested or not
+    pytest.param(dict(ONE_CELL, trials=10 * harness.BLOCK, threads=64), 4, 1, 4, id="cores-cap"),
+    pytest.param(dict(ONE_CELL, trials=10 * harness.BLOCK), 4, 1, 4, id="default-threads"),
 ]
 
 
-@pytest.mark.parametrize(
-    "fields, processes", FORK_DECISIONS,
-    ids=["mae_quick_grid", "mae_sweep", "ber_paired", "criterion_1"],
-)
-def test_fork_decision_is_a_function_of_the_config(fields, processes):
+@pytest.mark.parametrize("fields, cores, break_even, processes", FORK_DECISIONS)
+def test_fork_decision_is_a_function_of_the_config(monkeypatch, fields, cores, break_even, processes):
+    if break_even is not None:
+        monkeypatch.setattr(harness, "FORK_BREAK_EVEN_US", break_even)
     config = ExperimentConfig(**fields)
     batches = -(-len(config._cell_table) * config.trials // harness.BLOCK)
-    assert harness._processes(config, batches, 2) == processes
-    assert [harness._processes(config, batches, 2) for _ in range(5)] == [processes] * 5
-    # threads caps the count: one thread is one process on any machine
-    for cores in (1, 2, 64):
-        assert harness._processes(replace(config, threads=1), batches, cores) == 1
+    assert [harness._processes(config, batches, cores) for _ in range(5)] == [processes] * 5
+    # one thread, or one core, is one process
+    assert harness._processes(replace(config, threads=1), batches, cores) == 1
     assert harness._processes(config, batches, 1) == 1
+
+
+def test_one_share_forks_nothing_and_opens_no_pipe(monkeypatch):
+    # every run goes through the share runner, which works the last share in
+    # this process: a run worth one process, a run of one thread and a run
+    # on a platform without os.fork have one share and call neither
+    calls, shares = [], []
+    run_shares = harness._run_shares
+
+    def spy(name):
+        def call(*args):
+            calls.append(name)
+            raise RuntimeError(f"os.{name} called")
+        return call
+
+    monkeypatch.setattr(harness, "_run_shares", lambda c, s: shares.append(len(s)) or run_shares(c, s))
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(harness.os, "fork", spy("fork"))
+    monkeypatch.setattr(harness.os, "pipe", spy("pipe"))
+    config = mae_config(threads=None)  # 7 batches, 3.8 ms estimated
+    expected = run_experiment(config)
+    monkeypatch.setattr(harness, "FORK_BREAK_EVEN_US", 1)
+    assert run_experiment(replace(config, threads=1)) == expected
+    with pytest.raises(RuntimeError, match="os.pipe called"):  # the spies see a run of two
+        run_experiment(replace(config, threads=2))
+    monkeypatch.delattr(harness.os, "fork")
+    assert run_experiment(config) == expected
+    assert shares == [1, 1, 2, 1] and calls == ["pipe"]
 
 
 # ------------------------------------------------------------- worker processes
@@ -305,7 +341,7 @@ from ambcsync import ExperimentConfig, cli, harness, run_experiment
 
 os.sched_getaffinity = lambda pid: {0, 1}
 os.cpu_count = lambda: 2
-harness.FORK_BREAK_EVEN_US = 0
+harness.FORK_BREAK_EVEN_US = 1
 CONFIG = ExperimentConfig(
     kind="mae_vs_snr", snr_grid_db=(5.0,), trials=4 * harness.BLOCK, pilot_pairs=(8,),
     pilot_bit_samples=16, tau_choices=(-5, 5), threads=2,
@@ -489,7 +525,7 @@ def test_pilot_blocks_worker_independent(trials, channel):
     for config in configs:
         outputs = {run_experiment(replace(config, threads=w)).to_csv() for w in (1, 2, 3, 5)}
         assert len(outputs) == 1, config.kind
-        counts = counts_of(replace(config, threads=5))
+        counts = harness._execute(replace(config, threads=5))
         assert [int(c[:-3].sum()) for c in counts] == [trials] * len(counts), config.kind
 
 
@@ -595,15 +631,19 @@ STREAM_LAW_P_MIN = 1e-3
 STREAM_LAW_Z_MAX = 4.0
 
 
-def frame_path_errors(config, synthesize, seed):
-    """Error counts of ``config``'s one cell, one synthesized frame per trial:
-    trial_rng, draw_channel, synthesize, apply_sto, collect_windows, estimate_sto."""
+def sample_path_frames(config, synthesize, seed):
+    """The sample-level path on ``config``'s one cell: each trial draws from
+    its own (seed, 0, trial) substream its offset, its channel (degenerate
+    draws redrawn, as the engine does) and its K payload bits, synthesizes
+    its frame with ``synthesize``, estimates its offset and, when K > 0,
+    detects its payload.  Returns each frame's estimation error and its bit
+    errors under ideal sync, no and estimated compensation (zeros for K = 0)."""
     (snr,), (pairs,), (n,) = config.snr_grid_db, config.pilot_pairs, config.symbol_samples
-    frame = FrameConfig(harness.PREAMBLE_BITS, pairs, config.pilot_bit_samples, 0, n)
-    bits = build_bit_sequence(frame)
+    k = config.data_symbols if config.kind == "ber_compare" else 0
+    frame = FrameConfig(harness.PREAMBLE_BITS, pairs, config.pilot_bit_samples, k, n)
     noise = config.channel.noise_for_snr(snr, config.snr_reference)
     taus = config.tau_choices
-    counts = Counter()
+    eps, errors = np.zeros(config.trials, dtype=np.int64), np.zeros((config.trials, 3), dtype=np.int64)
     for trial in range(config.trials):
         rng = trial_rng(seed, 0, trial)
         tau = taus[rng.integers(len(taus))]
@@ -611,9 +651,18 @@ def frame_path_errors(config, synthesize, seed):
             ch = config.channel.static_state(noise)
         else:
             ch = draw_channel(rng, noise)
-        w = synthesize(bits, frame, ch, rng)
-        counts[tau - estimate_sto(collect_windows(apply_sto(w, tau))).tau_hat] += 1
-    return counts
+        while harness._degenerate(ch):
+            ch = draw_channel(rng, noise)
+        payload = rng.integers(0, 2, size=k)  # draws nothing when k == 0
+        w = synthesize(build_bit_sequence(frame, payload), frame, ch, rng)
+        w_sto = apply_sto(w, tau)
+        tau_hat = estimate_sto(collect_windows(w_sto)).tau_hat
+        eps[trial] = tau - tau_hat
+        if k:
+            params = DetectorParams.from_powers(n, ch.p0, ch.p1)
+            for i, (wave, shift) in enumerate(((w, 0), (w_sto, 0), (w_sto, tau_hat))):
+                errors[trial, i] = (detect_frame(wave, params, shift)[0] != payload).sum()
+    return eps, errors
 
 
 def homogeneity_p(*histograms):
@@ -654,43 +703,13 @@ def test_pilot_batch_keeps_the_frame_law(monkeypatch):
         )
         pmf = run_experiment(config).probabilities
         batch = {e: round(p * config.trials) for e, p in pmf.items()}
-        one_block = frame_path_errors(config, synthesize_received, seed=2)
+        one_block, _ = sample_path_frames(config, synthesize_received, seed=2)
         with monkeypatch.context() as m:
             m.setattr(ChannelState, "from_coefficients", keep_coefficients)
-            two_block = frame_path_errors(config, two_block_law, seed=3)
-        for name, frames in (("one block", one_block), ("two blocks", two_block)):
-            p_value = homogeneity_p(batch, frames)
+            two_block, _ = sample_path_frames(config, two_block_law, seed=3)
+        for name, eps in (("one block", one_block), ("two blocks", two_block)):
+            p_value = homogeneity_p(batch, Counter(eps.tolist()))
             assert p_value > STREAM_LAW_P_MIN, (channel, name, p_value)
-
-
-def per_trial_ber_frames(config, seed):
-    """The sample-level BER path, on ``config``'s one cell: every trial draws
-    from its own (seed, cell, trial) substream, synthesizes its frame and
-    estimates and detects it. Returns each frame's estimation error and its
-    bit errors under ideal sync, no and estimated compensation."""
-    (snr,), (pairs,), (n,) = config.snr_grid_db, config.pilot_pairs, config.symbol_samples
-    frame = FrameConfig(harness.PREAMBLE_BITS, pairs, config.pilot_bit_samples, config.data_symbols, n)
-    noise = config.channel.noise_for_snr(snr, config.snr_reference)
-    taus = config.tau_choices
-    eps, errors = np.zeros(config.trials, dtype=np.int64), np.zeros((config.trials, 3), dtype=np.int64)
-    for trial in range(config.trials):
-        rng = trial_rng(seed, 0, trial)
-        tau = taus[rng.integers(len(taus))]
-        if config.channel.kind == "static":
-            ch = config.channel.static_state(noise)
-        else:
-            ch = draw_channel(rng, noise)
-        while harness._degenerate(ch):
-            ch = draw_channel(rng, noise)
-        payload = rng.integers(0, 2, size=frame.data_symbols)
-        w = synthesize_received(build_bit_sequence(frame, payload), frame, ch, rng)
-        w_sto = apply_sto(w, tau)
-        tau_hat = estimate_sto(collect_windows(w_sto)).tau_hat
-        eps[trial] = tau - tau_hat
-        params = DetectorParams.from_powers(n, ch.p0, ch.p1)
-        for i, (wave, shift) in enumerate(((w, 0), (w_sto, 0), (w_sto, tau_hat))):
-            errors[trial, i] = (detect_frame(wave, params, shift)[0] != payload).sum()
-    return eps, errors
 
 
 def test_ber_block_stream_keeps_the_frame_law():
@@ -706,10 +725,10 @@ def test_ber_block_stream_keeps_the_frame_law():
             pilot_bit_samples=16, symbol_samples=(12,), data_symbols=5,
             tau_choices=(-5, -4, 4, 5), seed=1, threads=1, **channel,
         )
-        (counts,) = counts_of(config)
+        (counts,) = harness._execute(config)
         span = config.pilot_bit_samples
         blocks = {e - span: int(c) for e, c in enumerate(counts[: 2 * span + 1]) if c}
-        eps, errors = per_trial_ber_frames(config, seed=2)
+        eps, errors = sample_path_frames(config, synthesize_received, seed=2)
         p_value = homogeneity_p(blocks, Counter(eps.tolist()))
         assert p_value > STREAM_LAW_P_MIN, (channel, p_value)
         trials = config.trials
@@ -741,8 +760,8 @@ def test_ber_sampler_keeps_the_joint_frame_law(monkeypatch):
         return tau_hat, bit_errors
 
     monkeypatch.setattr(harness, "_payload_frames", recording)
-    counts_of(config)
-    eps, errors = per_trial_ber_frames(config, seed=2)
+    harness._execute(config)
+    eps, errors = sample_path_frames(config, synthesize_received, seed=2)
     frames = Counter(zip(eps.tolist(), *errors.T.tolist()))
     assert sum(sampled.values()) == sum(frames.values()) == config.trials
     p_value = homogeneity_p(sampled, frames)
@@ -808,9 +827,9 @@ def test_batches_across_cells_keep_each_cells_law():
     runs = 250
     config = mae_config(**CROSSED_MAE)
     span = config.pilot_bit_samples
-    batched = sum(counts_of(replace(config, seed=seed)) for seed in range(runs))
+    batched = sum(harness._execute(replace(config, seed=seed)) for seed in range(runs))
     for i, (snr, pairs, _, _) in enumerate(harness._cells(config)):
-        alone = counts_of(replace(
+        alone = harness._execute(replace(
             config, snr_grid_db=(snr,), pilot_pairs=(pairs,), trials=runs * config.trials,
             seed=runs + i,
         ))
@@ -822,11 +841,11 @@ def test_batches_across_cells_keep_each_cells_law():
 
     config = ExperimentConfig(**CROSSED_BER)
     runs = 200
-    batched = np.stack([counts_of(replace(config, seed=seed))[:, -3:] for seed in range(runs)])
+    batched = np.stack([harness._execute(replace(config, seed=seed))[:, -3:] for seed in range(runs)])
     for i, (snr, n, _, _) in enumerate(harness._cells(config)):
         cell = replace(config, snr_grid_db=(snr,), symbol_samples=(n,))
         alone = np.stack(
-            [counts_of(replace(cell, seed=seed))[0, -3:] for seed in range(runs, 2 * runs)]
+            [harness._execute(replace(cell, seed=seed))[0, -3:] for seed in range(runs, 2 * runs)]
         )
         se = np.sqrt((batched[:, i].var(axis=0, ddof=1) + alone.var(axis=0, ddof=1)) / runs)
         z = (batched[:, i].mean(axis=0) - alone.mean(axis=0)) / se
@@ -1058,7 +1077,12 @@ def test_cli_bad_flag_exits_2(capsys):
         (["--trials", "0"], "trials"), (["--snr", "nan"], "finite"),
         (["--threads", "-3"], "threads"), (["--threads", "0"], "threads"),
         (["--snr", "-4000"], "-4000"), (["--seed", "-1"], "seed"),
-        (["--n", "50,100"], "symbol_samples"), (["--tau", "-10..-5,-6"], "offset -6"),
+        (["--n", "50,100"], "symbol_samples"),
+        # a repeated grid value names its axis and the value
+        (["--tau", "-10..-5,-6"], "tau_choices repeats the value -6"),
+        (["--snr", "0:20:5,10"], "snr_grid_db repeats the value 10.0"),
+        (["--pairs", "20,20"], "pilot_pairs repeats the value 20"),
+        (["--n", "50,50"], "symbol_samples repeats the value 50"),
     ],
 )
 def test_cli_bad_value_exits_2_before_any_trial(tmp_path, capsys, run_spy, flags, word):
