@@ -9,7 +9,6 @@ an Intel Xeon (Python 3.11.7, numpy 2.4.6).
 import math
 from dataclasses import replace
 
-import mpmath as mp
 import numpy as np
 
 from ambcsync import (
@@ -20,9 +19,7 @@ from ambcsync import (
     harness,
     run_experiment,
 )
-from oracles import exact_two_segment, full_log_likelihood
-
-mp.mp.dps = 50
+from oracles import exact_two_segment, full_log_likelihood, mp_threshold
 
 
 def report(num, name, ok, detail=""):
@@ -256,12 +253,7 @@ def test_criterion_6_likelihood_algebra():
 
 
 def test_criterion_7_threshold_correctness():
-    def oracle(n, p0, p1):
-        n, p0, p1 = mp.mpf(n), mp.mpf(p0), mp.mpf(p1)
-        rad = 1 + 2 * (p0 + p1) * mp.log(p1 / p0) / (n * (p1 - p0))
-        return float(n * p0 * p1 / (p0 + p1) * (1 + mp.sqrt(rad)))
-
-    ref = oracle(50, 1, 2)
+    ref = mp_threshold(50, 1, 2)
     point_ok = abs(ed_threshold(50, 1.0, 2.0) - ref) <= 1e-4
     # the upper bound requires N (r-1)^2 > 2 ln r, so the ratio grid stays
     # clear of 1 (just above it the threshold legitimately exceeds N p1)

@@ -2,7 +2,6 @@
 
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
 
@@ -19,15 +18,7 @@ from ambcsync import (
     ed_threshold,
     synthesize_received,
 )
-
-mp.mp.dps = 50
-
-
-def mp_threshold(n, p0, p1):
-    """Independent 50-digit evaluation of the threshold formula."""
-    n, p0, p1 = mp.mpf(n), mp.mpf(p0), mp.mpf(p1)
-    rad = 1 + 2 * (p0 + p1) * mp.log(p1 / p0) / (n * (p1 - p0))
-    return float(n * p0 * p1 / (p0 + p1) * (1 + mp.sqrt(rad)))
+from oracles import mp_threshold
 
 
 # ------------------------------------------------------------------- ed_threshold

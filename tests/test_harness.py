@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -36,8 +36,7 @@ from ambcsync import (
 )
 from ambcsync import cli, harness
 from ambcsync.cli import cli_main
-from ambcsync.signal_model import gen_cgn_block
-import oracles
+from ambcsync.estimator import scan_sto
 
 
 def mae_config(**kw):
@@ -499,26 +498,61 @@ def test_default_channel_fields_change_nothing():
 STATIC = dict(channel=ChannelModel("static", rho=0.5), snr_reference="mean_received")
 
 
+def test_statistics_read_the_channel_only_through_its_contrast(monkeypatch):
+    # scaling a frame's p0 and p1 by c scales every column sum, window energy
+    # and threshold by c and shifts the scan's profile by a constant, so the
+    # estimates and bit errors depend on the powers only through
+    # kappa = p1/p0: every kind on both channels gives the same counts under
+    # scaled powers, from the same seed
+    kinds = (
+        mae_config(),
+        mae_config(kind="error_hist", snr_grid_db=(10.0,), pilot_pairs=(8,), trials=1000),
+        ExperimentConfig(**CROSSED_BER),
+    )
+    configs = [replace(config, **channel) for config in kinds for channel in ({}, STATIC)]
+    expected = [harness._execute(config) for config in configs]
+    channel_powers = harness._channel_powers
+    for scale in (3.0, 2.0**-10, 1e6):
+        monkeypatch.setattr(
+            harness, "_channel_powers", lambda *args: tuple(scale * p for p in channel_powers(*args))
+        )
+        for config, counts in zip(configs, expected):
+            np.testing.assert_array_equal(harness._execute(config), counts, err_msg=f"{scale}")
+    monkeypatch.undo()
+    # on the static channel kappa = 1 + rho / (1 + sigma^2), so rho and the
+    # SNR reach the output only through it: three (rho, SNR) pairs of
+    # kappa = 1.4545 give one pmf
+    hists = {
+        run_experiment(mae_config(
+            kind="error_hist", snr_grid_db=(snr,), pilot_pairs=(8,), trials=2000, seed=7,
+            channel=ChannelModel("static", rho=rho),
+        )).to_csv()
+        for rho, snr in ((0.5, 10.0), (1.0, -0.792), (3.0, -7.482))
+    }
+    assert len(hists) == 1
+
+
 @pytest.mark.usefixtures("forked")
 @pytest.mark.parametrize(
-    "trials, channel",
+    "trials, channel, pairs",
     [
-        pytest.param(trials, channel, id=f"{name}{trials}")
+        pytest.param(trials, channel, 8, id=f"{name}{trials}")
         for name, channel in (("", {}), ("static-", STATIC))
         for trials in (harness.BLOCK - 1, harness.BLOCK, harness.BLOCK + 1, 3 * harness.BLOCK + 7)
-    ],
+    ] + [pytest.param(harness.BLOCK + 1, STATIC, 1, id="static-257-L1")],
 )
-def test_pilot_blocks_worker_independent(trials, channel):
+def test_pilot_blocks_worker_independent(trials, channel, pairs):
     # every kind runs one task per batch of BLOCK frames, a partial batch
     # last; any number of processes gives the same output, on either
-    # channel, and every trial counts once
+    # channel, and every trial counts once. At L = 1 the BER sampler's
+    # column sums are Gamma(0) draws, zero, and its pilot is the last pair
     configs = (
         mae_config(trials=trials, snr_grid_db=(10.0,), **channel),
         mae_config(
-            kind="error_hist", trials=trials, snr_grid_db=(10.0,), pilot_pairs=(8,), **channel
+            kind="error_hist", trials=trials, snr_grid_db=(10.0,), pilot_pairs=(pairs,), **channel
         ),
         mae_config(
-            kind="ber_compare", trials=trials, snr_grid_db=(10.0,), pilot_pairs=(8,),
+            kind="ber_compare", trials=trials, snr_grid_db=(10.0,), pilot_pairs=(pairs,),
             symbol_samples=(12, 20), data_symbols=5, **channel,
         ),
     )
@@ -631,13 +665,13 @@ STREAM_LAW_P_MIN = 1e-3
 STREAM_LAW_Z_MAX = 4.0
 
 
-def sample_path_frames(config, synthesize, seed):
+def sample_path_frames(config, seed):
     """The sample-level path on ``config``'s one cell: each trial draws from
     its own (seed, 0, trial) substream its offset, its channel (degenerate
     draws redrawn, as the engine does) and its K payload bits, synthesizes
-    its frame with ``synthesize``, estimates its offset and, when K > 0,
-    detects its payload.  Returns each frame's estimation error and its bit
-    errors under ideal sync, no and estimated compensation (zeros for K = 0)."""
+    its frame, estimates its offset and, when K > 0, detects its payload.
+    Returns each frame's estimation error and its bit errors under ideal
+    sync, no and estimated compensation (zeros for K = 0)."""
     (snr,), (pairs,), (n,) = config.snr_grid_db, config.pilot_pairs, config.symbol_samples
     k = config.data_symbols if config.kind == "ber_compare" else 0
     frame = FrameConfig(harness.PREAMBLE_BITS, pairs, config.pilot_bit_samples, k, n)
@@ -654,7 +688,7 @@ def sample_path_frames(config, synthesize, seed):
         while harness._degenerate(ch):
             ch = draw_channel(rng, noise)
         payload = rng.integers(0, 2, size=k)  # draws nothing when k == 0
-        w = synthesize(build_bit_sequence(frame, payload), frame, ch, rng)
+        w = synthesize_received(build_bit_sequence(frame, payload), frame, ch, rng)
         w_sto = apply_sto(w, tau)
         tau_hat = estimate_sto(collect_windows(w_sto)).tau_hat
         eps[trial] = tau - tau_hat
@@ -676,25 +710,12 @@ def homogeneity_p(*histograms):
     return stats.chi2_contingency(table)[1]
 
 
-def test_pilot_batch_keeps_the_frame_law(monkeypatch):
+def test_pilot_batch_keeps_the_frame_law():
     # error_hist trials draw the pilot's column power sums as scaled Gamma(L)
-    # variates. A synthesized frame is sqrt(p_B) * z from one unit-power
-    # block, and the law was first written (h + zeta*g*B)*s + w from a source
-    # and a noise block. All three must give one error distribution:
-    # chi-square homogeneity of the batch histogram against each frame path's,
-    # 20,000 independent trials each, on both channels
-    from_coefficients = ChannelState.from_coefficients
-
-    def keep_coefficients(h, zeta, g, noise):
-        ch = from_coefficients(h, zeta, g, noise)
-        return SimpleNamespace(h=h, zeta=zeta, g=g, noise=noise, p0=ch.p0, p1=ch.p1)
-
-    def two_block_law(bits, cfg, ch, rng):
-        coeff = np.repeat(ch.h + ch.zeta * ch.g * bits, cfg.bit_durations())
-        s = gen_cgn_block(coeff.size, rng)
-        w = gen_cgn_block(coeff.size, rng) * np.sqrt(ch.noise)
-        return Waveform(coeff * s + w, cfg)
-
+    # variates; a synthesized frame draws every sample. Both must give one
+    # error distribution: chi-square homogeneity of the batch histogram
+    # against the frame path's, 20,000 independent trials each, on both
+    # channels
     static = dict(channel=ChannelModel("static", rho=0.5), snr_reference="mean_received")
     for channel in ({}, static):
         config = ExperimentConfig(
@@ -703,13 +724,9 @@ def test_pilot_batch_keeps_the_frame_law(monkeypatch):
         )
         pmf = run_experiment(config).probabilities
         batch = {e: round(p * config.trials) for e, p in pmf.items()}
-        one_block, _ = sample_path_frames(config, synthesize_received, seed=2)
-        with monkeypatch.context() as m:
-            m.setattr(ChannelState, "from_coefficients", keep_coefficients)
-            two_block, _ = sample_path_frames(config, two_block_law, seed=3)
-        for name, eps in (("one block", one_block), ("two blocks", two_block)):
-            p_value = homogeneity_p(batch, Counter(eps.tolist()))
-            assert p_value > STREAM_LAW_P_MIN, (channel, name, p_value)
+        eps, _ = sample_path_frames(config, seed=2)
+        p_value = homogeneity_p(batch, Counter(eps.tolist()))
+        assert p_value > STREAM_LAW_P_MIN, (channel, p_value)
 
 
 def test_ber_block_stream_keeps_the_frame_law():
@@ -728,7 +745,7 @@ def test_ber_block_stream_keeps_the_frame_law():
         (counts,) = harness._execute(config)
         span = config.pilot_bit_samples
         blocks = {e - span: int(c) for e, c in enumerate(counts[: 2 * span + 1]) if c}
-        eps, errors = sample_path_frames(config, synthesize_received, seed=2)
+        eps, errors = sample_path_frames(config, seed=2)
         p_value = homogeneity_p(blocks, Counter(eps.tolist()))
         assert p_value > STREAM_LAW_P_MIN, (channel, p_value)
         trials = config.trials
@@ -737,42 +754,12 @@ def test_ber_block_stream_keeps_the_frame_law():
         assert np.all(np.abs(z) <= STREAM_LAW_Z_MAX), (channel, z)
 
 
-def test_ber_sampler_keeps_the_joint_frame_law(monkeypatch):
-    # the pilot's last row, the ideal, offset and compensated windows of
-    # payload bit 0 and the last pilot "1" bit share samples: the row reads
-    # bit 0's head for tau > 0, and a compensated window with tau - tau_hat < 0
-    # reads the pilot bit's tail, which the row may read too. With one pilot
-    # pair and one payload bit, the joint table of (tau - tau_hat, ideal,
-    # no-comp, comp errors) per trial must match the sample-level path's:
-    # chi-square homogeneity over 50,000 trials each
-    config = ExperimentConfig(
-        kind="ber_compare", snr_grid_db=(10.0,), trials=50_000, pilot_pairs=(1,),
-        pilot_bit_samples=16, symbol_samples=(12,), data_symbols=1,
-        tau_choices=(-5, -4, 4, 5), seed=1, threads=1,
-        channel=ChannelModel("static", rho=0.5), snr_reference="mean_received",
-    )
-    sampled = Counter()
-    payload_frames = harness._payload_frames
-
-    def recording(rng, frame, tau, p0, p1):
-        tau_hat, bit_errors = payload_frames(rng, frame, tau, p0, p1)
-        sampled.update(zip((tau - tau_hat).tolist(), *bit_errors.T.tolist()))
-        return tau_hat, bit_errors
-
-    monkeypatch.setattr(harness, "_payload_frames", recording)
-    harness._execute(config)
-    eps, errors = sample_path_frames(config, synthesize_received, seed=2)
-    frames = Counter(zip(eps.tolist(), *errors.T.tolist()))
-    assert sum(sampled.values()) == sum(frames.values()) == config.trials
-    p_value = homogeneity_p(sampled, frames)
-    assert p_value > STREAM_LAW_P_MIN, p_value
-
-
 @st.composite
 def ber_geometries(draw):
-    """A BER cell's geometry and offsets as the config admits them: |tau| up
-    to ceil(N_p/2) - 1, negative offsets always drawn, and N often so small
-    that a compensated clock -N_p < tau - tau_hat < -N crosses bit 0 twice."""
+    """A cell's geometry and offsets as the config admits them: |tau| up to
+    ceil(N_p/2) - 1, negative offsets always drawn, K = 0 (a pilot-only
+    frame) or a payload, and N often so small that a compensated clock
+    -N_p < tau - tau_hat < -N crosses bit 0 twice."""
     span = draw(st.integers(4, 20))
     most = (span + 1) // 2 - 1
     taus = draw(st.lists(st.integers(-most, most), min_size=1, max_size=4))
@@ -780,30 +767,99 @@ def ber_geometries(draw):
     # the guard bit absorbs the latest compensated clock (ExperimentConfig's bound)
     width = draw(st.integers(max(1, max(taus) + most), max(taus) + most + 8))
     return dict(span=span, taus=taus, width=width, pairs=draw(st.integers(1, 4)),
-                k=draw(st.integers(1, 5)), n=draw(st.integers(1, 12)),
+                k=draw(st.integers(0, 5)), n=draw(st.integers(1, 12)),
                 static=draw(st.booleans()), seed=draw(st.integers(0, 2**32)))
 
 
-@settings(max_examples=150, deadline=None)
+class ReplayDraws:
+    """A generator stand-in that serves the batch samplers' draws from
+    sample-level frames: ``units[i]`` holds frame i's sample energies, each
+    over the power of its own bit in the frame's bit sequence, and a draw
+    sums the units that the sampler reads with it.  The sampler's own
+    scaling then gives the frames' energies back, up to rounding, exactly
+    when its geometry is right.  Any call the samplers do not make fails."""
+
+    def __init__(self, frame, units, tau, payload):
+        self.frame, self.units, self.tau, self.payload = frame, units, tau, payload
+        self.calls = ["integers", "pilot", "near", "segments"] if frame.data_symbols else ["pilot"]
+
+    def expect(self, call, ok):
+        assert self.calls.pop(0) == call and ok, f"unexpected {call} draw"
+
+    def integers(self, low, high, size):
+        self.expect("integers", (low, high, size) == (0, 2, self.payload.shape))
+        return self.payload.copy()
+
+    def standard_exponential(self, size):
+        # the last pilot pair and payload bit 0, sample by sample
+        f = self.frame
+        start, span, width = f.data_start, f.pilot_bit_samples, f.data_symbol_samples
+        self.expect("near", size == (len(self.tau), 2 * span + width))
+        return self.units[:, start - 2 * span : start + width].copy()
+
+    def standard_gamma(self, shape, size=None, out=None):
+        f, n = self.frame, len(self.tau)
+        if out is not None:  # column sums of pilot rows 0..shape-1 under each frame's clock
+            rows = f.pilot_pairs - (f.data_symbols > 0)
+            self.expect("pilot", (shape, size, out.shape) == (rows, None, (n, f.pilot_bit_samples)))
+            for i, (units, tau) in enumerate(zip(self.units, self.tau)):
+                out[i] = collect_windows(apply_sto(Waveform(units, f), tau))[:rows].sum(axis=0)
+            return out
+        # bits 1..K-1 and the guard bit, each cut into three segments of the given lengths
+        k, width, lengths = f.data_symbols, f.data_symbol_samples, np.asarray(shape)
+        self.expect("segments", size == (n, k, 3) and lengths.shape == (n, 1, 3)
+                    and (lengths >= 0).all() and (lengths.sum(axis=2) == width).all())
+        later = self.units[:, f.data_start + width :].reshape(n, k, width)
+        energy = np.pad(later.cumsum(axis=2), [(0, 0), (0, 0), (1, 0)])  # before each position
+        return np.diff(np.take_along_axis(energy, lengths.cumsum(axis=2), axis=2), axis=2, prepend=0)
+
+
+# the relative gap within which the samplers and the sample path may round
+# a near-tie apart (the top two profile values, or an energy and its
+# threshold); fixed before the first run
+NEAR_TIE_REL = 1e-9
+
+
+@settings(max_examples=200, deadline=None)
 @given(ber_geometries())
-def test_ber_sampler_matches_its_reference_exactly(geometry):
-    # the harness's BER sampler writes its draws into the cumulative energy
-    # array and gathers windows by flat index; the reference draws the same
-    # variates and reads them by concatenation and take_along_axis. From
-    # equal generators both must give the same estimates and bit errors and
-    # leave the generators in the same state
+def test_samplers_read_the_sample_path_exactly(geometry):
+    # synthesized frames replayed through the BER sampler (K >= 1), or the
+    # pilot sums and the scan (K = 0): frame by frame, the estimate must be
+    # the scan of the frame's samples under clock tau, and the bit errors the
+    # detector's under ideal sync, no and estimated compensation
     g = SimpleNamespace(**geometry)
     frame = FrameConfig(1, g.pairs, g.span, g.k, g.width)
     channel = ChannelModel("static", rho=0.5) if g.static else ChannelModel()
     rng = np.random.default_rng(g.seed)
     tau = rng.choice(g.taus, size=g.n)
     p0, p1 = harness._channel_powers(rng, channel, np.full(g.n, 0.1))
-    ours, theirs = (np.random.default_rng([g.seed, 1]) for _ in range(2))
-    tau_hat, errors = harness._payload_frames(ours, frame, tau, p0, p1)
-    expected_tau_hat, expected_errors = oracles.payload_frames(theirs, frame, tau, p0, p1)
-    np.testing.assert_array_equal(tau_hat, expected_tau_hat)
-    np.testing.assert_array_equal(errors, expected_errors)
-    assert ours.bit_generator.state == theirs.bit_generator.state
+    payload = rng.integers(0, 2, size=(g.n, g.k))
+    waves, units = [], []
+    for row, power in zip(payload, np.hstack([p0, p1])):
+        bits = build_bit_sequence(frame, row)
+        waves.append(synthesize_received(bits, frame, ChannelState(*power), rng))
+        units.append(np.abs(waves[-1].samples) ** 2 / np.repeat(power[bits], frame.bit_durations()))
+    draws = ReplayDraws(frame, np.array(units), tau, payload)
+    if g.k:
+        tau_hat, errors = harness._payload_frames(draws, frame, tau, p0, p1)
+    else:
+        tau_hat = scan_sto(harness._pilot_sums(draws, [g.pairs], [0, g.n], tau, g.span, p0, p1))
+    assert draws.calls == []
+    for i, w in enumerate(waves):
+        w_tau = apply_sto(w, tau[i])
+        estimate = estimate_sto(collect_windows(w_tau))
+        if tau_hat[i] != estimate.tau_hat:
+            top, second = np.sort(estimate.loglik)[:-3:-1]
+            assert top - second <= NEAR_TIE_REL * abs(top), (i, tau_hat[i], estimate.tau_hat)
+            event("near-tie excused")
+        if not g.k:
+            continue
+        params = DetectorParams.from_powers(g.width, p0[i, 0], p1[i, 0])
+        for column, (wave, shift) in enumerate(((w, 0), (w_tau, 0), (w_tau, tau_hat[i]))):
+            decided, energies = detect_frame(wave, params, shift)
+            if (decided != payload[i]).sum() != errors[i, column]:
+                assert np.abs(energies - params.threshold).min() <= NEAR_TIE_REL * params.threshold
+                event("near-tie excused")
 
 
 # grids whose batches cross cell edges: every full batch of the MAE grid
