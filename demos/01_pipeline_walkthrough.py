@@ -26,7 +26,6 @@ TAU_TRUE = -8  # receiver wakes up 8 samples early
 
 rng = np.random.default_rng(SEED)
 cfg = FrameConfig(
-    preamble_bits=2,
     pilot_pairs=30,
     pilot_bit_samples=30,
     data_symbols=24,

@@ -29,8 +29,8 @@ COMMANDS = {
 }
 
 
-# a list flag names at most this many values; a grid or range is counted
-# before it is expanded, so a typo cannot exhaust memory
+# a list flag names at most this many values and a run's grid as many cells;
+# each is counted before it is built, so a typo cannot exhaust memory
 MAX_VALUES = 10_000
 
 
@@ -92,8 +92,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser._negative_number_matcher = matcher
     for command, (kind, help_text, default_pairs, default_grid) in COMMANDS.items():
         # each flag's dest is an ExperimentConfig field; a flag left out keeps
-        # the field's default, unless the subcommand sets its own below
-        p = sub.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS)
+        # the field's default, unless the subcommand sets its own below; no
+        # abbreviations, so that a flag it lacks (--n on mae) is not read as --np
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False,
+                           argument_default=argparse.SUPPRESS)
         p._negative_number_matcher = matcher
         p.set_defaults(
             kind=kind, snr_grid_db=default_grid, pilot_pairs=default_pairs,
@@ -112,11 +114,11 @@ def _build_parser() -> argparse.ArgumentParser:
             "--np", dest="pilot_bit_samples", type=int, metavar="N_P",
             help="samples per pilot bit",
         )
-        p.add_argument(
-            "--n", dest="symbol_samples", type=_int_list, metavar="N[,N...]",
-            help="samples per data symbol (one value on mae and hist: the guard bit's length)",
-        )
         if kind == "ber_compare":
+            p.add_argument(
+                "--n", dest="symbol_samples", type=_int_list, metavar="N[,N...]",
+                help="samples per data symbol",
+            )
             p.add_argument("--k", dest="data_symbols", type=int, help="data symbols per frame")
         p.add_argument(
             "--tau", dest="tau_choices", type=_int_list, metavar="T[,A..B...]",
@@ -139,6 +141,9 @@ def cli_main(argv=None) -> int:
     try:
         # flag values and the output directory are input: all are checked
         # before any trial runs, and a bad one exits 2
+        widths = args.get("symbol_samples", ExperimentConfig.symbol_samples)
+        if len(args["snr_grid_db"]) * len(args["pilot_pairs"]) * len(widths) > MAX_VALUES:
+            raise ValueError(f"the grid has more than {MAX_VALUES} cells")
         config = ExperimentConfig(**args)
         folder, name = os.path.split(out)
         if not name or os.path.isdir(out) or not os.path.isdir(folder or "."):

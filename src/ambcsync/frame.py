@@ -1,10 +1,11 @@
 """Device-side frame construction, receiver-side waveform synthesis, and the
 receiver's symbol clock (offset injection and compensation).
 
-A transmission is three phases back to back: an all-one wake-up preamble,
-an alternating (0,1) pilot of L bit-pairs, and the data payload.  One
-trailing "0" guard bit is appended so that a delayed sampling clock never
-reads past the end of the frame.
+A transmission is three phases back to back: one all-one wake-up bit of
+N_p samples, an alternating (0,1) pilot of L bit-pairs, and the data
+payload, then one trailing "0" guard bit of N samples.  The wake-up bit
+absorbs every clock advance that a detectable offset and its estimate can
+set (tau > -N_p/2, tau - tau_hat > -N_p), and the guard bit a delay.
 
 Symbol timing offset is modelled on the receiver's sampling clock: the
 window it takes for any symbol covers the true samples shifted by tau,
@@ -28,22 +29,18 @@ class FrameConfig:
     """Sample-level frame geometry.
 
     Attributes:
-        preamble_bits: number of all-one wake-up bits (N_p samples each).
         pilot_pairs: number L of alternating (0,1) pilot bit-pairs.
         pilot_bit_samples: samples per pilot bit, N_p.
         data_symbols: number K of payload bits.
         data_symbol_samples: samples per payload bit, N (also the guard length).
     """
 
-    preamble_bits: int
     pilot_pairs: int
     pilot_bit_samples: int
     data_symbols: int
     data_symbol_samples: int
 
     def __post_init__(self):
-        if self.preamble_bits < 1:
-            raise ValueError("preamble_bits must be >= 1")
         if self.pilot_pairs < 1:
             raise ValueError("pilot_pairs must be >= 1")
         # the transition-point scan needs interior candidates {2..N_p-1}
@@ -56,7 +53,7 @@ class FrameConfig:
 
     @property
     def pilot_start(self) -> int:
-        return self.preamble_bits * self.pilot_bit_samples
+        return self.pilot_bit_samples
 
     @property
     def data_start(self) -> int:
@@ -69,7 +66,7 @@ class FrameConfig:
 
     @property
     def total_bits(self) -> int:
-        return self.preamble_bits + 2 * self.pilot_pairs + self.data_symbols + 1
+        return 2 + 2 * self.pilot_pairs + self.data_symbols
 
     def check_tau(self, tau: int) -> None:
         """Refuse an offset that leaves the pilot windows no detectable
@@ -81,8 +78,8 @@ class FrameConfig:
             )
 
     def check_clock(self, clock: int) -> None:
-        """Refuse a clock offset whose windows leave the frame: the preamble
-        must absorb an advance and the trailing guard bit a delay."""
+        """Refuse a clock offset whose windows leave the frame: the wake-up
+        bit must absorb an advance and the trailing guard bit a delay."""
         if not -self.pilot_start <= clock <= self.data_symbol_samples:
             raise ValueError(
                 f"clock offset {clock} exceeds available guard samples "
@@ -93,7 +90,7 @@ class FrameConfig:
         """Per-bit sample counts, in transmission order (guard bit included)."""
         return np.concatenate(
             [
-                np.full(self.preamble_bits + 2 * self.pilot_pairs, self.pilot_bit_samples),
+                np.full(1 + 2 * self.pilot_pairs, self.pilot_bit_samples),
                 np.full(self.data_symbols + 1, self.data_symbol_samples),
             ]
         )
@@ -122,16 +119,14 @@ class Waveform:
 
 
 def build_bit_sequence(cfg: FrameConfig, payload: np.ndarray | tuple = ()) -> np.ndarray:
-    """Assemble the transmitted bit sequence: preamble, pilot, payload, guard."""
+    """Assemble the transmitted bit sequence: wake-up bit, pilot, payload, guard."""
     payload = np.asarray(payload, dtype=np.int64)
     if payload.shape != (cfg.data_symbols,):
         raise ValueError(
             f"payload length {payload.size} != configured data_symbols {cfg.data_symbols}"
         )
-    preamble = np.ones(cfg.preamble_bits, dtype=np.int64)
     pilot = np.tile(np.array([0, 1], dtype=np.int64), cfg.pilot_pairs)
-    guard = np.zeros(1, dtype=np.int64)
-    return np.concatenate([preamble, pilot, payload, guard])
+    return np.concatenate([[1], pilot, payload, [0]])
 
 
 def synthesize_received(
@@ -162,7 +157,7 @@ def apply_sto(w: Waveform, tau: int) -> Waveform:
 
     The window for any symbol then covers true samples
     [start + tau, start + tau + len).  Requires N_p > 2|tau| so that the
-    pilot windows keep a detectable transition, and enough preamble/guard
+    pilot windows keep a detectable transition, and enough wake-up/guard
     samples to absorb the shift.
     """
     tau = int(tau)

@@ -88,7 +88,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import _decide, ed_threshold
-from .estimator import scan_sto
+from .estimator import _offset, scan_sto
 from .frame import FrameConfig
 from .signal_model import ChannelModel, ChannelState, draw_channel, trial_rng
 
@@ -99,9 +99,6 @@ from .signal_model import ChannelModel, ChannelState, draw_channel, trial_rng
 from .detector import detect_frame as _detect_bits  # noqa: F401
 from .estimator import collect_windows, estimate_sto  # noqa: F401
 from .frame import apply_sto, build_bit_sequence, synthesize_received  # noqa: F401
-
-# every experiment frame has one wake-up bit ahead of the pilot
-PREAMBLE_BITS = 1
 
 # frames per task (a batch); fixed, so that the batches and their substreams
 # do not depend on the worker count
@@ -163,9 +160,9 @@ class ExperimentConfig:
         pilot_pairs: L values; the MAE experiment sweeps them, the others
             use a single value.
         pilot_bit_samples: window width N_p.
-        symbol_samples: per-symbol sample counts N; the BER experiment
-            sweeps them, the others take one, the trailing guard bit's length.
-        data_symbols: payload bits per frame (BER experiment).
+        symbol_samples: per-symbol sample counts N, which the BER experiment
+            sweeps; the others read none (see ``_cells``).
+        data_symbols: payload bits per frame (BER experiment only).
         tau_choices: candidate timing offsets, each given once; each trial
             draws uniformly from this set (a singleton pins the offset).
         seed: non-negative root seed for the substream derivation.
@@ -219,20 +216,20 @@ class ExperimentConfig:
         if not isinstance(self.channel, ChannelModel):
             raise ValueError(f"channel must be a ChannelModel, got {self.channel!r}")
         # each cell's frame checks its geometry and every offset a trial can
-        # draw; a wrong-signed estimate moves the compensated clock up to
-        # max(tau) + ceil(N_p/2) - 1 samples late, which the BER frame's guard
-        # bit must absorb
-        worst = max(self.tau_choices) + (self.pilot_bit_samples + 1) // 2 - 1
+        # draw; the wake-up bit absorbs any advance these allow (see frame.py)
         cells = _cells(self)
         # the run reads this table; an attribute but no field, so equality,
         # repr and dataclasses.replace ignore it
         object.__setattr__(self, "_cell_table", cells)
+        span = self.pilot_bit_samples
+        # a BER frame's guard bit must absorb its latest clock, of 0 (ideal),
+        # tau and tau - tau_hat, the last at the scan's earliest estimate
+        latest = max(self.tau_choices) - min(0, int(_offset(np.arange(2, span), span).min()))
         for snr, _, frame, noise in cells:
             for tau in self.tau_choices:
                 frame.check_tau(tau)
-                frame.check_clock(tau)
             if self.kind == "ber_compare":
-                frame.check_clock(worst)
+                frame.check_clock(latest)
             if self.channel.kind != "static":
                 continue
             # every trial sees this one state, which cannot be redrawn
@@ -281,15 +278,16 @@ class BerResult:
 
 def _cells(config: ExperimentConfig) -> tuple[tuple[float, int, FrameConfig, float], ...]:
     """(SNR, swept value, frame, noise power) for each grid cell, in row order:
-    the BER experiment sweeps N at its one L, the others sweep L with no
-    payload; an axis that a kind does not sweep holds one value (see _KINDS)."""
+    the BER experiment sweeps N at its one L; the others sweep L, with no
+    payload and a guard of one pilot bit (K = 0, N = N_p), which absorbs
+    every offset; an axis read but not swept holds one value (see _KINDS)."""
     ber, span = config.kind == "ber_compare", config.pilot_bit_samples
-    k = config.data_symbols if ber else 0
+    k, widths = (config.data_symbols, config.symbol_samples) if ber else (0, (span,))
     # resolving the noise power also checks the SNR's range and reference
     return tuple(
-        (snr, n if ber else pairs, FrameConfig(PREAMBLE_BITS, pairs, span, k, n),
+        (snr, n if ber else pairs, FrameConfig(pairs, span, k, n),
          config.channel.noise_for_snr(snr, config.snr_reference))
-        for snr in config.snr_grid_db for pairs in config.pilot_pairs for n in config.symbol_samples
+        for snr in config.snr_grid_db for pairs in config.pilot_pairs for n in widths
     )
 
 
@@ -556,12 +554,12 @@ def _ber(config: ExperimentConfig, counts: np.ndarray) -> BerResult:
     return BerResult(rows=tuple(rows))
 
 
-# kind -> (aggregator of the summed counts per cell, the config fields the kind does
-# not sweep and so takes one value of, inline µs per batch of BLOCK frames, as
-# fitted per task plus per trial: 130 + 256 * 1.6 and 375 + 256 * 11.5)
+# kind -> (aggregator of the summed counts per cell, the axes the kind reads but
+# does not sweep and so takes one value of, inline µs per batch of BLOCK frames,
+# as fitted per task plus per trial: 130 + 256 * 1.6 and 375 + 256 * 11.5)
 _KINDS = {
-    "mae_vs_snr": (_mae, ("symbol_samples",), 540),
-    "error_hist": (_error_hist, ("snr_grid_db", "pilot_pairs", "symbol_samples"), 540),
+    "mae_vs_snr": (_mae, (), 540),
+    "error_hist": (_error_hist, ("snr_grid_db", "pilot_pairs"), 540),
     "ber_compare": (_ber, ("pilot_pairs",), 3320),
 }
 

@@ -135,7 +135,7 @@ def frame_with_windows(windows):
     """A noiseless frame whose k-th payload window holds ``windows[k]``."""
     windows = np.asarray(windows, dtype=complex)
     k, n = windows.shape
-    cfg = FrameConfig(1, 1, 4, k, n)
+    cfg = FrameConfig(1, 4, k, n)
     samples = np.zeros(cfg.total_samples, dtype=complex)
     samples[cfg.data_start : cfg.data_start + k * n] = windows.ravel()
     return Waveform(samples, cfg)
@@ -213,7 +213,7 @@ def test_detector_params_from_powers():
 
 
 def make_frame(k=8, n=20, tau_payload=None, seed=2, snr_db=20.0, h=1.0, zeta=1.0, g=1.0):
-    cfg = FrameConfig(1, 4, 30, k, n)
+    cfg = FrameConfig(4, 30, k, n)
     noise = 10 ** (-snr_db / 10)
     ch = ChannelState.from_coefficients(h, zeta, g, noise)
     rng = np.random.default_rng(seed)

@@ -29,7 +29,7 @@ from oracles import (
 
 
 def pilot_waveform(pairs=4, np_samples=12, seed=3, snr_db=None, h=1.0, zeta=1.0, g=1.0):
-    cfg = FrameConfig(1, pairs, np_samples, 0, np_samples)
+    cfg = FrameConfig(pairs, np_samples, 0, np_samples)
     noise = 0.0 if snr_db is None else 10 ** (-snr_db / 10)
     ch = ChannelState.from_coefficients(h, zeta, g, noise)
     w = synthesize_received(build_bit_sequence(cfg), cfg, ch, np.random.default_rng(seed))
@@ -337,7 +337,7 @@ def test_recovery_rate_nondecreasing_in_pilot_length():
     trials = 10_000
     rates = []
     for li, pairs in enumerate((10, 20, 40)):
-        cfg = FrameConfig(1, pairs, 30, 0, 30)
+        cfg = FrameConfig(pairs, 30, 0, 30)
         noise = 10 ** (-snr_db / 10)
         bits = build_bit_sequence(cfg)
         hits = 0

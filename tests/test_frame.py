@@ -15,9 +15,8 @@ from ambcsync import (
 from ambcsync.signal_model import gen_cgn_block
 
 
-def cfg_for(preamble=1, pairs=2, np_samples=8, k=0, n=8):
+def cfg_for(pairs=2, np_samples=8, k=0, n=8):
     return FrameConfig(
-        preamble_bits=preamble,
         pilot_pairs=pairs,
         pilot_bit_samples=np_samples,
         data_symbols=k,
@@ -26,8 +25,9 @@ def cfg_for(preamble=1, pairs=2, np_samples=8, k=0, n=8):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        cfg_for(preamble=0)
+    # the wake-up bit is not configured: every frame has exactly one
+    with pytest.raises(TypeError):
+        FrameConfig(1, 1, 8, 0, 8)
     with pytest.raises(ValueError):
         cfg_for(pairs=0)
     with pytest.raises(ValueError):
@@ -35,14 +35,16 @@ def test_config_validation():
     with pytest.raises(ValueError):
         cfg_for(n=0)
     with pytest.raises(ValueError):
-        FrameConfig(1, 1, 8, -1, 8)
+        FrameConfig(1, 8, -1, 8)
 
 
 def test_bit_sequence_layout():
-    bits = build_bit_sequence(cfg_for(preamble=2, pairs=2))
-    assert bits.tolist() == [1, 1, 0, 1, 0, 1, 0]  # trailing guard zero
-    bits = build_bit_sequence(cfg_for(preamble=1, pairs=1))
-    assert bits.tolist()[1:3] == [0, 1]
+    # one wake-up "1", the pilot pairs, then the trailing guard zero
+    bits = build_bit_sequence(cfg_for(pairs=2))
+    assert bits.tolist() == [1, 0, 1, 0, 1, 0]
+    assert bits.size == cfg_for(pairs=2).total_bits
+    bits = build_bit_sequence(cfg_for(pairs=1))
+    assert bits.tolist() == [1, 0, 1, 0]
 
 
 def test_bit_sequence_payload_passthrough():
@@ -60,15 +62,16 @@ def test_bit_sequence_random_payload_needs_rng():
 
 
 def test_waveform_geometry():
-    cfg = cfg_for(preamble=2, pairs=3, np_samples=10, k=4, n=6)
+    cfg = cfg_for(pairs=3, np_samples=10, k=4, n=6)
     noise = 1.0
     ch = ChannelState.from_coefficients(1, 0.5, 0.5, noise)
     bits = build_bit_sequence(cfg, payload=np.array([1, 0, 0, 1]))
     w = synthesize_received(bits, cfg, ch, np.random.default_rng(2))
-    assert w.pilot_start == 2 * 10
-    assert w.data_start == 2 * 10 + 2 * 3 * 10
-    # preamble + pilot + payload + one guard bit of N samples
-    assert w.samples.size == 2 * 10 + 6 * 10 + 4 * 6 + 6 == cfg.total_samples
+    assert w.pilot_start == 10
+    assert w.data_start == 10 + 2 * 3 * 10
+    # wake-up bit + pilot + payload + one guard bit of N samples
+    assert w.samples.size == 10 + 6 * 10 + 4 * 6 + 6 == cfg.total_samples
+    assert cfg.bit_durations().tolist() == [10] * 7 + [6] * 5
 
 
 def test_synthesis_without_backscatter_is_direct_path_only():
@@ -144,7 +147,7 @@ def test_apply_sto_rejects_undetectable_and_unabsorbable_shifts():
     with pytest.raises(ValueError):
         apply_sto(w, -10)
     # a shift past the guard is caught by the range check
-    big = FrameConfig(1, 1, 64, 0, 4)
+    big = FrameConfig(1, 64, 0, 4)
     noise = 1.0
     ch = ChannelState.from_coefficients(1, 1, 1, noise)
     wav = synthesize_received(build_bit_sequence(big), big, ch, np.random.default_rng(0))

@@ -36,7 +36,7 @@ from ambcsync import (
 )
 from ambcsync import cli, harness
 from ambcsync.cli import cli_main
-from ambcsync.estimator import scan_sto
+from ambcsync.estimator import _offset, scan_sto
 
 
 def mae_config(**kw):
@@ -79,10 +79,6 @@ def test_config_validation():
             kind="ber_compare", snr_grid_db=(5.0,), trials=10, pilot_pairs=(8,),
             pilot_bit_samples=16, symbol_samples=(12, 20, 12), tau_choices=(-5,),
         )
-    with pytest.raises(ValueError):
-        mae_config(tau_choices=(5,), symbol_samples=(4,))  # guard too short
-    with pytest.raises(ValueError, match="one symbol_samples"):
-        mae_config(tau_choices=(5,), symbol_samples=(50, 4))  # only a BER run sweeps N
     with pytest.raises(ValueError, match="seed"):
         mae_config(seed=-1)
     for threads in (0, -3):
@@ -129,8 +125,9 @@ def test_config_validation():
             kind="ber_compare", snr_grid_db=(5.0,), trials=10, pilot_pairs=(8,),
             pilot_bit_samples=16, tau_choices=(-5,), data_symbols=0,
         )
-    # a BER frame's guard bit absorbs the latest compensated clock,
-    # max(tau) + ceil(N_p/2) - 1 = -5 + 8 - 1 = 2 samples, and no less
+    # a BER frame's guard bit absorbs the latest compensated clock, max(tau)
+    # less the scan's earliest estimate: -5 - (-7) = 2 samples at N_p = 16,
+    # and no less
     ber = dict(
         kind="ber_compare", snr_grid_db=(0.0,), trials=10, pilot_pairs=(2,),
         pilot_bit_samples=16, data_symbols=5, tau_choices=(-5,),
@@ -138,6 +135,9 @@ def test_config_validation():
     ExperimentConfig(**ber, symbol_samples=(2,))
     with pytest.raises(ValueError, match="clock offset 2"):
         ExperimentConfig(**ber, symbol_samples=(1,))
+    # at N_p = 4 both candidates n0 = 2, 3 read as delays (tau_hat 2 or 1), so
+    # no clock passes max(tau) = 1, which a guard bit of one sample absorbs
+    ExperimentConfig(**dict(ber, pilot_bit_samples=4, tau_choices=(1,)), symbol_samples=(1,))
 
 
 def test_degenerate_static_channel_rejected():
@@ -599,6 +599,23 @@ def test_cell_table_built_once_per_config(monkeypatch):
     assert [(snr, pairs) for snr, pairs, _, _ in moved._cell_table] == [(7.0, 8), (7.0, 16)]
 
 
+def test_pilot_only_runs_read_neither_n_nor_k():
+    # an MAE or histogram frame has no payload (K = 0) and a guard of one
+    # pilot bit (N = N_p), which absorbs every offset the scan resolves: any
+    # N (one sample, or a sweep) and any K give the CSV of their defaults
+    hist = dict(kind="error_hist", snr_grid_db=(10.0,), pilot_pairs=(8,))
+    for base in (mae_config(trials=100), mae_config(**hist)):
+        expected = run_experiment(base).to_csv()
+        for fields in (
+            dict(symbol_samples=(1,)), dict(symbol_samples=(50, 100)),
+            dict(data_symbols=0), dict(data_symbols=7),
+        ):
+            config = replace(base, **fields)
+            frames = {(f.data_symbols, f.data_symbol_samples) for _, _, f, _ in config._cell_table}
+            assert frames == {(0, 16)} and len(config._cell_table) == len(base._cell_table)
+            assert run_experiment(config).to_csv() == expected, fields
+
+
 def test_single_trial_repeatable():
     config = mae_config(trials=1, snr_grid_db=(5.0,), pilot_pairs=(8,))
     assert run_experiment(config) == run_experiment(config)
@@ -672,10 +689,8 @@ def sample_path_frames(config, seed):
     its frame, estimates its offset and, when K > 0, detects its payload.
     Returns each frame's estimation error and its bit errors under ideal
     sync, no and estimated compensation (zeros for K = 0)."""
-    (snr,), (pairs,), (n,) = config.snr_grid_db, config.pilot_pairs, config.symbol_samples
-    k = config.data_symbols if config.kind == "ber_compare" else 0
-    frame = FrameConfig(harness.PREAMBLE_BITS, pairs, config.pilot_bit_samples, k, n)
-    noise = config.channel.noise_for_snr(snr, config.snr_reference)
+    ((_, _, frame, noise),) = config._cell_table
+    k = frame.data_symbols
     taus = config.tau_choices
     eps, errors = np.zeros(config.trials, dtype=np.int64), np.zeros((config.trials, 3), dtype=np.int64)
     for trial in range(config.trials):
@@ -693,7 +708,7 @@ def sample_path_frames(config, seed):
         tau_hat = estimate_sto(collect_windows(w_sto)).tau_hat
         eps[trial] = tau - tau_hat
         if k:
-            params = DetectorParams.from_powers(n, ch.p0, ch.p1)
+            params = DetectorParams.from_powers(frame.data_symbol_samples, ch.p0, ch.p1)
             for i, (wave, shift) in enumerate(((w, 0), (w_sto, 0), (w_sto, tau_hat))):
                 errors[trial, i] = (detect_frame(wave, params, shift)[0] != payload).sum()
     return eps, errors
@@ -764,8 +779,10 @@ def ber_geometries(draw):
     most = (span + 1) // 2 - 1
     taus = draw(st.lists(st.integers(-most, most), min_size=1, max_size=4))
     taus.append(-most)
-    # the guard bit absorbs the latest compensated clock (ExperimentConfig's bound)
-    width = draw(st.integers(max(1, max(taus) + most), max(taus) + most + 8))
+    # the guard bit absorbs the latest compensated clock, max(tau) less the
+    # scan's earliest estimate (ExperimentConfig's bound)
+    latest = max(taus) - min(0, int(_offset(np.arange(2, span), span).min()))
+    width = draw(st.integers(max(1, latest), latest + 8))
     return dict(span=span, taus=taus, width=width, pairs=draw(st.integers(1, 4)),
                 k=draw(st.integers(0, 5)), n=draw(st.integers(1, 12)),
                 static=draw(st.booleans()), seed=draw(st.integers(0, 2**32)))
@@ -828,7 +845,7 @@ def test_samplers_read_the_sample_path_exactly(geometry):
     # the scan of the frame's samples under clock tau, and the bit errors the
     # detector's under ideal sync, no and estimated compensation
     g = SimpleNamespace(**geometry)
-    frame = FrameConfig(1, g.pairs, g.span, g.k, g.width)
+    frame = FrameConfig(g.pairs, g.span, g.k, g.width)
     channel = ChannelModel("static", rho=0.5) if g.static else ChannelModel()
     rng = np.random.default_rng(g.seed)
     tau = rng.choice(g.taus, size=g.n)
@@ -1116,14 +1133,18 @@ def run_spy(monkeypatch):
 def test_cli_bad_flag_exits_2(capsys):
     assert cli_main(["mae", "--bogus"]) == 2
     assert cli_main([]) == 2
-    # malformed grids, an empty range and flags that no longer exist
+    # malformed grids, an empty range, flags that no longer exist and an abbreviation
     for argv in (
         ["mae", "--snr", "0:10"], ["mae", "--snr", "10:0:5"], ["mae", "--snr", "0:inf:5"],
         ["hist", "--tau", "6..4"], ["mae", "--snr-range", "0:10:5"],
         ["hist", "--tau-set", "-6..-4"], ["mae", "--k", "5"], ["hist", "--k", "5"],
+        ["ber", "--tri", "10"],
     ):
         assert cli_main(argv) == 2, argv
     capsys.readouterr()
+    # hist reads no N, and --n is not taken as a prefix of --np
+    assert cli_main(["hist", "--n", "50"]) == 2
+    assert "unrecognized arguments: --n 50" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -1133,12 +1154,13 @@ def test_cli_bad_flag_exits_2(capsys):
         (["--trials", "0"], "trials"), (["--snr", "nan"], "finite"),
         (["--threads", "-3"], "threads"), (["--threads", "0"], "threads"),
         (["--snr", "-4000"], "-4000"), (["--seed", "-1"], "seed"),
-        (["--n", "50,100"], "symbol_samples"),
+        # only ber sweeps N, and a flag that a subcommand lacks is no prefix of another
+        (["--n", "50,100"], "arguments: --n 50,100"),
         # a repeated grid value names its axis and the value
         (["--tau", "-10..-5,-6"], "tau_choices repeats the value -6"),
         (["--snr", "0:20:5,10"], "snr_grid_db repeats the value 10.0"),
         (["--pairs", "20,20"], "pilot_pairs repeats the value 20"),
-        (["--n", "50,50"], "symbol_samples repeats the value 50"),
+        (["--n", "50,50"], "arguments: --n 50,50"),
     ],
 )
 def test_cli_bad_value_exits_2_before_any_trial(tmp_path, capsys, run_spy, flags, word):
@@ -1148,26 +1170,39 @@ def test_cli_bad_value_exits_2_before_any_trial(tmp_path, capsys, run_spy, flags
     assert run_spy == [] and not out.exists()
 
 
-def test_cli_list_flags_refuse_oversized_lists_before_expanding():
+def test_cli_list_flags_refuse_oversized_lists_before_expanding(tmp_path, capsys, run_spy):
     assert len(cli._int_list("1..10000")) == len(cli._float_list("1:10000:1")) == cli.MAX_VALUES
     for parse, text in ((cli._int_list, "1..10000,0"), (cli._float_list, "0:10000:1")):
         with pytest.raises(argparse.ArgumentTypeError, match="more than 10000"):
             parse(text)
-    # 10^18 grid points and 4*10^9 offsets must be counted, never built: the
-    # CLI runs in a child whose address space is capped at 1 GiB, so a parser
-    # that did expand them fails there with a MemoryError
+    # 10^18 grid points, 4*10^9 offsets and a grid of 10^8 cells must be
+    # counted, never built: the CLI runs in a child whose address space is
+    # capped at 1 GiB, so a parser or a config that did build them fails there
+    # with a MemoryError
     import resource
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     main = "import sys; from ambcsync.cli import cli_main; sys.exit(cli_main(sys.argv[1:]))"
-    for argv in (["mae", "--snr", "0:1e9:1e-9"], ["hist", "--tau", "-2000000000..2000000000"]):
+    for argv, refusal in (
+        (["mae", "--snr", "0:1e9:1e-9"], "more than 10000 values"),
+        (["hist", "--tau", "-2000000000..2000000000"], "more than 10000 values"),
+        (["mae", "--snr", "0:9999:1", "--pairs", "1..9999"], "more than 10000 cells"),
+    ):
         proc = subprocess.run(
             [sys.executable, "-c", main, *argv], capture_output=True, text=True, preexec_fn=cap
         )
         assert proc.returncode == 2, proc.stderr
-        assert "more than 10000 values" in proc.stderr
+        assert refusal in proc.stderr
+    # the cap is on the product of the SNR, L and N lists: 100 x 100 cells pass
+    # it (and stop at the missing output directory), 100 x 101 do not
+    missing = str(tmp_path / "missing" / "x.csv")
+    assert cli_main(["mae", "--snr", "0:99:1", "--pairs", "1..100", "--out", missing]) == 2
+    assert repr(missing) in capsys.readouterr().err
+    assert cli_main(["ber", "--snr", "0:99:1", "--n", "1..101", "--out", missing]) == 2
+    assert "more than 10000 cells" in capsys.readouterr().err
+    assert run_spy == []
 
 
 @pytest.mark.parametrize(
