@@ -59,6 +59,19 @@ Each window is decided against its trial's threshold.  The sample-level
 path (``synthesize_received``, ``estimate_sto``, ``detect_frame``) stays
 in the library, and the tests hold the batch samplers to it.
 
+Each thread runs its batches in one set of work buffers of its own
+(``_THREAD.scratch``, an ``estimator._Scratch``), since two threads that
+run batches at once must not share them.  It holds a batch's pilot column
+sums with their offset mask and powers, the scan's prefix sums, segment
+variances and profile, and a BER cell's energies, its near-sample and
+segment draws and its payload bits' powers.  Each buffer lives as long as
+its thread and is replaced only when a batch needs a larger one (a longer
+N_p or BER row), so after a run's first batch no batch allocates arrays
+of its own size; a forked child starts from a copy of its parent's.  The
+samplers and the scan take the scratch as an optional last argument and
+work in fresh buffers without it; the draws and every float operation are
+the same either way.
+
 A run gets one process per ``FORK_BREAK_EVEN_US`` of estimated inline time
 (its kind's cost per batch times its batch count), at least one and at
 most ``threads``, the usable CPUs or its batch count.  Its batches are cut
@@ -81,6 +94,7 @@ import operator
 import os
 import pickle
 import signal
+import threading
 import traceback
 from collections import Counter
 from dataclasses import dataclass
@@ -88,7 +102,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import _decide, ed_threshold
-from .estimator import _offset, scan_sto
+from .estimator import _offset, _Scratch, scan_sto
 from .frame import FrameConfig
 from .signal_model import ChannelModel, ChannelState, draw_channel, trial_rng
 
@@ -112,6 +126,16 @@ FORK_BREAK_EVEN_US = 24_000
 # contrast to detect, and the law leaves them out by redrawing their fading
 # channel; ``ed_threshold`` stays accurate far below it (it refuses only p0 == p1)
 NEAR_DEGENERATE_REL = 1e-9
+
+
+class _ThreadScratch(threading.local):
+    """The calling thread's work buffers for its batches (see the module docstring)."""
+
+    def __init__(self):
+        self.scratch = _Scratch()
+
+
+_THREAD = _ThreadScratch()
 
 
 def _degenerate(ch: ChannelState):
@@ -215,30 +239,30 @@ class ExperimentConfig:
             raise ValueError("ber_compare needs data_symbols >= 1")
         if not isinstance(self.channel, ChannelModel):
             raise ValueError(f"channel must be a ChannelModel, got {self.channel!r}")
-        # each cell's frame checks its geometry and every offset a trial can
-        # draw; the wake-up bit absorbs any advance these allow (see frame.py)
+        # each cell's frame checks its geometry, and the offsets and clocks
+        # below; the wake-up bit absorbs any advance these allow (see frame.py)
         cells = _cells(self)
         # the run reads this table; an attribute but no field, so equality,
         # repr and dataclasses.replace ignore it
         object.__setattr__(self, "_cell_table", cells)
-        span = self.pilot_bit_samples
-        # a BER frame's guard bit must absorb its latest clock, of 0 (ideal),
-        # tau and tau - tau_hat, the last at the scan's earliest estimate
-        latest = max(self.tau_choices) - min(0, int(_offset(np.arange(2, span), span).min()))
-        for snr, _, frame, noise in cells:
-            for tau in self.tau_choices:
-                frame.check_tau(tau)
-            if self.kind == "ber_compare":
+        for tau in self.tau_choices:
+            cells[0][2].check_tau(tau)  # reads only N_p, which every cell shares
+        if self.kind == "ber_compare":
+            # a BER frame's guard bit must absorb its latest clock, of 0 (ideal),
+            # tau and tau - tau_hat, the last at the scan's earliest estimate
+            span = self.pilot_bit_samples
+            latest = max(self.tau_choices) - min(0, int(_offset(np.arange(2, span), span).min()))
+            for frame in dict.fromkeys(frame for _, _, frame, _ in cells):  # one per N
                 frame.check_clock(latest)
-            if self.channel.kind != "static":
-                continue
-            # every trial sees this one state, which cannot be redrawn
-            ch = self.channel.static_state(noise)
-            if _degenerate(ch):
-                raise ValueError(
-                    f"static channel with rho={self.channel.rho} has equal on/off "
-                    f"powers at {snr} dB (p0={ch.p0}, p1={ch.p1})"
-                )
+        if self.channel.kind == "static":
+            for snr, _, _, noise in cells:
+                # every trial sees this one state, which cannot be redrawn
+                ch = self.channel.static_state(noise)
+                if _degenerate(ch):
+                    raise ValueError(
+                        f"static channel with rho={self.channel.rho} has equal on/off "
+                        f"powers at {snr} dB (p0={ch.p0}, p1={ch.p1})"
+                    )
 
 
 def _csv(header: str, rows) -> str:
@@ -307,6 +331,7 @@ def _run_task(args) -> np.ndarray:
     """
     config, batch = args
     cells, trials, span = config._cell_table, config.trials, config.pilot_bit_samples
+    scratch = _THREAD.scratch
     start = batch * BLOCK
     stop = min(start + BLOCK, len(cells) * trials)
     first, last = start // trials, (stop - 1) // trials
@@ -324,11 +349,13 @@ def _run_task(args) -> np.ndarray:
         tau_hat = np.empty(n, dtype=np.int64)
         bit_errors = np.empty((n, 3), dtype=np.int64)
         for (_, _, frame, _), a, b in zip(reached, edges, edges[1:]):
-            tau_hat[a:b], bit_errors[a:b] = _payload_frames(rng, frame, tau[a:b], p0[a:b], p1[a:b])
+            tau_hat[a:b], bit_errors[a:b] = _payload_frames(
+                rng, frame, tau[a:b], p0[a:b], p1[a:b], scratch
+            )
         bit_errors = np.add.reduceat(bit_errors, edges[:-1], axis=0)
     else:
         pairs = [frame.pilot_pairs for _, _, frame, _ in reached]
-        tau_hat = scan_sto(_pilot_sums(rng, pairs, edges, tau, span, p0, p1))
+        tau_hat = scan_sto(_pilot_sums(rng, pairs, edges, tau, span, p0, p1, scratch), scratch)
         bit_errors = np.zeros((len(reached), 3), dtype=np.int64)
     width = 2 * span + 1
     cell = np.repeat(np.arange(len(reached)) * width, sizes)
@@ -353,25 +380,37 @@ def _channel_powers(rng, channel, noise) -> tuple[np.ndarray, np.ndarray]:
     return p0[:, None], p1[:, None]
 
 
-def _pilot_sums(rng, rows, edges, tau, span, p0, p1) -> np.ndarray:
+def _pilot_sums(rng, rows, edges, tau, span, p0, p1, scratch=None) -> np.ndarray:
     """Column power sums of the frames' pilot rows, shape (n, N_p), frames
     edges[i] to edges[i + 1] having ``rows[i]`` rows: column j is
     p * Gamma(rows), with p = p1 where the offset window still covers its
-    "1" bit (0 <= tau + j < N_p), else p0."""
-    sums = np.empty((tau.size, span))
+    "1" bit (0 <= tau + j < N_p), else p0.  The sums and their work arrays
+    are taken from ``scratch`` (fresh when it is None) under the keys
+    "sums", "shifted", "inside" and "power"."""
+    scratch = scratch or _Scratch()
+    shape = (tau.size, span)
+    sums = scratch.take("sums", shape)
     for count, a, b in zip(rows, edges, edges[1:]):
         rng.standard_gamma(count, out=sums[a:b])
-    shifted = tau[:, None] + np.arange(span)
-    inside = (shifted >= 0) & (shifted < span)
-    sums *= np.where(inside, p1, p0)
+    shifted = np.add(tau[:, None], np.arange(span), out=scratch.take("shifted", shape, np.int64))
+    # 0 <= tau + j < N_p in one comparison: read as unsigned, a negative tau + j exceeds N_p
+    inside = np.less(shifted.view(np.uint64), span, out=scratch.take("inside", shape, bool))
+    power = scratch.take("power", shape)
+    np.copyto(power, p0)
+    np.copyto(power, p1, where=inside)
+    sums *= power
     return sums
 
 
-def _payload_frames(rng, frame, tau, p0, p1) -> tuple[np.ndarray, np.ndarray]:
+def _payload_frames(rng, frame, tau, p0, p1, scratch=None) -> tuple[np.ndarray, np.ndarray]:
     """Draw one cell's frames of a batch, with payload, through their window
     energies and decide them (see the module docstring).  Returns the offset
     estimates, shape (n,), and the payload bit errors under ideal sync, no
-    compensation and the estimated compensation, shape (n, 3)."""
+    compensation and the estimated compensation, shape (n, 3).  The
+    energies, the draws and the bits' powers are taken from ``scratch``
+    (fresh when it is None) under the keys "energy", "draws" and "power",
+    after the pilot sums and the scan have used it."""
+    scratch = scratch or _Scratch()
     n, pairs, span = tau.size, frame.pilot_pairs, frame.pilot_bit_samples
     k, width = frame.data_symbols, frame.data_symbol_samples
     # energy[i, 1 + m] holds trial i's m-th draw from position -2 N_p: one per
@@ -379,28 +418,32 @@ def _payload_frames(rng, frame, tau, p0, p1) -> tuple[np.ndarray, np.ndarray]:
     # Sample p sits at flat[rows[i] + 1 + p]; once cumulated, flat[rows[i] + p]
     # is the energy before position p.
     head = 2 * span + width
-    energy = np.empty((n, 1 + head + 3 * k))
+    energy = scratch.take("energy", (n, 1 + head + 3 * k))
     energy[:, 0] = 0.0
     flat, rows = energy.ravel(), np.arange(2 * span, energy.size, energy.shape[1])
     payload = rng.integers(0, 2, size=(n, k)) == 1
-    sums = _pilot_sums(rng, [pairs - 1], [0, n], tau, span, p0, p1)
-    near, drawn = rng.standard_exponential((n, head)), energy[:, 1 : 1 + head]
+    sums = _pilot_sums(rng, [pairs - 1], [0, n], tau, span, p0, p1, scratch)
+    power = scratch.take("power", (n, k))  # each payload bit's: p1 where it is 1
+    np.copyto(power, p0)
+    np.copyto(power, p1, where=payload)
+    near = rng.standard_exponential(out=scratch.take("draws", (n, head)))
+    drawn = energy[:, 1 : 1 + head]
     np.multiply(near[:, :span], p0, out=drawn[:, :span])
     np.multiply(near[:, span : 2 * span], p1, out=drawn[:, span : 2 * span])
-    np.multiply(near[:, 2 * span :], np.where(payload[:, :1], p1, p0), out=drawn[:, 2 * span :])
-    del near  # the segments below reuse its memory
+    np.multiply(near[:, 2 * span :], power[:, :1], out=drawn[:, 2 * span :])
     # row L-1 reads positions tau + j - N_p: the pilot "0", its "1" or bit 0
     sums += flat.take((rows + tau + 1 - span)[:, None] + np.arange(span))
-    tau_hat = scan_sto(sums)
+    tau_hat = scan_sto(sums, scratch)
     # bits 1..K-1 and the guard bit are cut where the offset (tau) and the
     # compensated (tau - tau_hat) clocks cross them: three segments each
     low, high = np.sort([tau % width, (tau - tau_hat) % width], axis=0)
-    segments = rng.standard_gamma(np.stack([low, high - low, width - high], 1)[:, None], (n, k, 3))
-    later, power = energy[:, 1 + head :].reshape(n, k, 3), np.where(payload[:, 1:], p1, p0)
+    lengths = np.stack([low, high - low, width - high], 1)[:, None]
+    # into the near samples' buffer, whose draws are spent
+    segments = rng.standard_gamma(lengths, out=scratch.take("draws", (n, k, 3)))
+    later = energy[:, 1 + head :].reshape(n, k, 3)
     for j in range(3):  # a segment of every bit at a time runs faster than all at once
-        np.multiply(segments[:, :-1, j], power, out=later[:, :-1, j])
+        np.multiply(segments[:, :-1, j], power[:, 1:], out=later[:, :-1, j])
     np.multiply(segments[:, -1], p0, out=later[:, -1])
-    del segments, power  # the window step below sets the batch's peak memory
     np.cumsum(energy, axis=1, out=energy)  # a window's energy: the difference at its ends
     threshold = ed_threshold(width, p0, p1)
     # clocks lie in (-N_p, N], so only a clock's first `early` ends can lie in bit 0

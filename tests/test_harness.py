@@ -1,10 +1,12 @@
 """Experiment runners, CSV output, determinism, and the CLI."""
 
 import argparse
+import json
 import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -138,6 +140,28 @@ def test_config_validation():
     # at N_p = 4 both candidates n0 = 2, 3 read as delays (tau_hat 2 or 1), so
     # no clock passes max(tau) = 1, which a guard bit of one sample absorbs
     ExperimentConfig(**dict(ber, pilot_bit_samples=4, tau_choices=(1,)), symbol_samples=(1,))
+
+
+def test_each_offset_checked_once_per_config(monkeypatch):
+    # the offset check reads only N_p, which every cell shares, so a config
+    # makes it once per offset whatever its grid; a bad offset keeps its error
+    checked = []
+    check_tau = FrameConfig.check_tau
+    monkeypatch.setattr(
+        FrameConfig, "check_tau", lambda frame, tau: checked.append(tau) or check_tau(frame, tau)
+    )
+    taus = (-7, -3, 2, 5)
+    for config in (
+        dict(snr_grid_db=(0.0, 5.0, 10.0), pilot_pairs=(4, 8, 16), tau_choices=taus),
+        dict(kind="ber_compare", snr_grid_db=(5.0, 10.0), pilot_pairs=(8,),
+             symbol_samples=(12, 20), data_symbols=5, tau_choices=taus),
+    ):
+        checked.clear()
+        mae_config(**config)
+        assert checked == list(taus), config
+    with pytest.raises(ValueError) as refused:
+        mae_config(snr_grid_db=(0.0, 5.0), tau_choices=(-5, 8))
+    assert str(refused.value) == "|tau|=8 not detectable: need pilot_bit_samples > 2|tau|, have 16"
 
 
 def test_degenerate_static_channel_rejected():
@@ -584,6 +608,103 @@ def test_memory_flat_in_the_runs_length():
     assert peaks[1] - peaks[0] <= bound, peaks
 
 
+# the benchmark's mae_quick_grid and ber_paired workloads (perfbench/workloads.py)
+# at seed 1, and half the traced peak of a repeated inline run of each with
+# the batch arrays allocated per batch (564,937 and 1,296,382 bytes), the
+# bounds fixed before the first run
+QUICK_GRID = dict(
+    kind="mae_vs_snr", snr_grid_db=tuple(2.5 * i for i in range(9)), trials=40,
+    pilot_pairs=(20, 30, 40), pilot_bit_samples=30, tau_choices=(-10, 10),
+)
+BER_PAIRED = dict(
+    kind="ber_compare", snr_grid_db=(5.0, 10.0, 15.0, 20.0), trials=300, pilot_pairs=(30,),
+    pilot_bit_samples=30, symbol_samples=(50, 100), data_symbols=50,
+    tau_choices=tuple(range(-10, -4)) + tuple(range(5, 11)),
+)
+
+
+@pytest.mark.parametrize(
+    "fields, bound", [(QUICK_GRID, 282_000), (BER_PAIRED, 648_000)], ids=["mae", "ber"]
+)
+def test_repeated_runs_reuse_the_threads_batch_arrays(fields, bound):
+    # a thread keeps its batches' work buffers (the pilot sums, the scan's
+    # profile, a BER cell's energies and draws), so a run after a first one
+    # allocates none of them: its traced peak stays under half the peak of
+    # the same run with those arrays allocated per batch
+    config = ExperimentConfig(**fields, seed=1, threads=1)
+    run_experiment(config)
+    tracemalloc.start()
+    try:
+        run_experiment(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, peak
+
+
+SCRATCH_CONFIGS = (
+    dict(kind="mae_vs_snr", snr_grid_db=(5.0, 15.0), trials=300, pilot_pairs=(20, 30),
+         pilot_bit_samples=30, tau_choices=(-10, 10), seed=1, threads=1),
+    dict(kind="mae_vs_snr", snr_grid_db=(5.0, 15.0), trials=300, pilot_pairs=(20, 30),
+         pilot_bit_samples=20, tau_choices=(-6, 6), seed=2, threads=1),
+    dict(kind="mae_vs_snr", snr_grid_db=(10.0,), trials=500, pilot_pairs=(30,),
+         pilot_bit_samples=30, tau_choices=(-10, -3, 4, 10), seed=3, threads=1),
+    dict(BER_PAIRED, snr_grid_db=(10.0,), trials=200, symbol_samples=(50,), seed=4, threads=1),
+    dict(BER_PAIRED, snr_grid_db=(10.0,), trials=200, symbol_samples=(100,), seed=5, threads=1),
+    dict(BER_PAIRED, snr_grid_db=(15.0,), trials=200, symbol_samples=(50,), seed=6, threads=1),
+)
+
+
+def test_buffers_reused_across_geometries_keep_each_csv():
+    # one thread's buffers serve runs of other sizes: in a new thread, whose
+    # buffers start empty, a run at N_p = 20 between two at N_p = 30 reads
+    # larger buffers, and a BER run at N = 100 between two at N = 50 grows
+    # them; each CSV is the one a fresh interpreter writes for its config alone
+    code = (
+        "import json, sys\n"
+        "from ambcsync import ExperimentConfig, run_experiment\n"
+        "print(run_experiment(ExperimentConfig(**json.loads(sys.argv[1]))).to_csv(), end='')\n"
+    )
+    fresh = [
+        subprocess.run([sys.executable, "-c", code, json.dumps(fields)], capture_output=True,
+                       text=True, check=True, timeout=120).stdout
+        for fields in SCRATCH_CONFIGS
+    ]
+    reused = []
+    thread = threading.Thread(target=lambda: reused.extend(
+        run_experiment(ExperimentConfig(**fields)).to_csv() for fields in SCRATCH_CONFIGS
+    ))
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    assert reused == fresh
+
+
+def test_threads_running_batches_at_once_keep_their_own_buffers():
+    # each thread runs its batches in buffers of its own: three threads (more
+    # than the two cores the suite is timed on) running different geometries
+    # at once, switching every microsecond, each get the CSV of a run alone
+    configs = [ExperimentConfig(**fields) for fields in SCRATCH_CONFIGS[1:4]]
+    alone = [run_experiment(config).to_csv() for config in configs]
+    together = [None] * len(configs)
+
+    def run(i):
+        together[i] = run_experiment(configs[i]).to_csv()
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(configs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert together == alone
+
+
 def test_cell_table_built_once_per_config(monkeypatch):
     # the config builds its cells to validate itself, and every run of it
     # reads that table
@@ -663,9 +784,9 @@ def test_pilot_blocks_redraw_degenerate_channels(monkeypatch):
     seen = []
     pilot_sums = harness._pilot_sums
 
-    def recording(rng, rows, edges, tau, span, p0, p1):
+    def recording(rng, rows, edges, tau, span, p0, p1, *rest):
         seen.append((p0.ravel().tolist(), p1.ravel().tolist()))
-        return pilot_sums(rng, rows, edges, tau, span, p0, p1)
+        return pilot_sums(rng, rows, edges, tau, span, p0, p1, *rest)
 
     monkeypatch.setattr(harness, "_pilot_sums", recording)
     (counts,) = harness._run_task((config, 0))
@@ -807,16 +928,18 @@ class ReplayDraws:
         self.expect("integers", (low, high, size) == (0, 2, self.payload.shape))
         return self.payload.copy()
 
-    def standard_exponential(self, size):
+    def standard_exponential(self, size=None, out=None):
         # the last pilot pair and payload bit 0, sample by sample
         f = self.frame
         start, span, width = f.data_start, f.pilot_bit_samples, f.data_symbol_samples
-        self.expect("near", size == (len(self.tau), 2 * span + width))
-        return self.units[:, start - 2 * span : start + width].copy()
+        self.expect("near", size is None and out.shape == (len(self.tau), 2 * span + width))
+        out[...] = self.units[:, start - 2 * span : start + width]
+        return out
 
     def standard_gamma(self, shape, size=None, out=None):
+        # told apart by their shape parameter; ``expect`` checks their order
         f, n = self.frame, len(self.tau)
-        if out is not None:  # column sums of pilot rows 0..shape-1 under each frame's clock
+        if np.ndim(shape) == 0:  # column sums of pilot rows 0..shape-1 under each frame's clock
             rows = f.pilot_pairs - (f.data_symbols > 0)
             self.expect("pilot", (shape, size, out.shape) == (rows, None, (n, f.pilot_bit_samples)))
             for i, (units, tau) in enumerate(zip(self.units, self.tau)):
@@ -824,11 +947,14 @@ class ReplayDraws:
             return out
         # bits 1..K-1 and the guard bit, each cut into three segments of the given lengths
         k, width, lengths = f.data_symbols, f.data_symbol_samples, np.asarray(shape)
-        self.expect("segments", size == (n, k, 3) and lengths.shape == (n, 1, 3)
+        self.expect("segments", size is None and out.shape == (n, k, 3)
+                    and lengths.shape == (n, 1, 3)
                     and (lengths >= 0).all() and (lengths.sum(axis=2) == width).all())
         later = self.units[:, f.data_start + width :].reshape(n, k, width)
         energy = np.pad(later.cumsum(axis=2), [(0, 0), (0, 0), (1, 0)])  # before each position
-        return np.diff(np.take_along_axis(energy, lengths.cumsum(axis=2), axis=2), axis=2, prepend=0)
+        out[...] = np.diff(np.take_along_axis(energy, lengths.cumsum(axis=2), axis=2), axis=2,
+                           prepend=0)
+        return out
 
 
 # the relative gap within which the samplers and the sample path may round
@@ -984,7 +1110,7 @@ def test_hist_noise_free_floor():
 
 def test_hist_mass_sits_at_tau_minus_tau_hat(monkeypatch):
     # a scan that always answers 3: every error is tau - 3
-    monkeypatch.setattr(harness, "scan_sto", lambda sums: np.full(len(sums), 3))
+    monkeypatch.setattr(harness, "scan_sto", lambda sums, *rest: np.full(len(sums), 3))
     config = ExperimentConfig(
         kind="error_hist", snr_grid_db=(10.0,), trials=200, pilot_pairs=(8,),
         pilot_bit_samples=16, tau_choices=(-5, 5), seed=3, threads=1,
