@@ -59,18 +59,14 @@ Each window is decided against its trial's threshold.  The sample-level
 path (``synthesize_received``, ``estimate_sto``, ``detect_frame``) stays
 in the library, and the tests hold the batch samplers to it.
 
-Each thread runs its batches in one set of work buffers of its own
-(``_THREAD.scratch``, an ``estimator._Scratch``), since two threads that
-run batches at once must not share them.  It holds a batch's pilot column
-sums with their offset mask and powers, the scan's prefix sums, segment
-variances and profile, and a BER cell's energies, its near-sample and
-segment draws and its payload bits' powers.  Each buffer lives as long as
-its thread and is replaced only when a batch needs a larger one (a longer
-N_p or BER row), so after a run's first batch no batch allocates arrays
-of its own size; a forked child starts from a copy of its parent's.  The
-samplers and the scan take the scratch as an optional last argument and
-work in fresh buffers without it; the draws and every float operation are
-the same either way.
+Each thread runs its batches in work buffers of its own (``_THREAD.scratch``,
+an ``estimator._Scratch``), so that threads never share them: a batch's
+pilot sums with their offset mask and powers, the scan's profile arrays,
+and a BER cell's energies, draws and payload powers.  A buffer lives as
+long as its thread and is replaced only by a larger one (a longer N_p or
+BER row), so a run's batches after its first allocate no arrays of their
+size.  Without a scratch the samplers and the scan work in fresh buffers;
+the draws and every float operation are the same either way.
 
 A run gets one process per ``FORK_BREAK_EVEN_US`` of estimated inline time
 (its kind's cost per batch times its batch count), at least one and at
