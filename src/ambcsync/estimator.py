@@ -19,6 +19,7 @@ matrix or for a batch of them.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,53 +64,48 @@ def collect_windows(w: Waveform) -> np.ndarray:
     return region.reshape(cfg.pilot_pairs, 2 * n_p)[:, n_p:]
 
 
-class _Scratch:
-    """Work buffers that live as long as this object, one per key: ``take``
-    returns an uninitialised C-contiguous array over the key's buffer,
-    which is replaced only when a larger one is asked for.  Each key serves
-    one dtype, and an array taken stays valid until its key is taken again.
-    A fresh object allocates what it is asked for, as plain ``np.empty``."""
-
-    def __init__(self):
-        self._buffers: dict[str, np.ndarray] = {}
-
-    def take(self, key: str, shape: tuple, dtype=float) -> np.ndarray:
-        size = math.prod(shape)
-        buffer = self._buffers.get(key)
-        if buffer is None or buffer.size < size:
-            buffer = self._buffers[key] = np.empty(size, dtype)
-        return buffer[:size].reshape(shape)
+_BUFFERS = threading.local()  # its attributes, per thread: the work buffers by (key, dtype)
 
 
-def _profile(col_sums: np.ndarray, scratch: _Scratch | None = None):
+def _take(key: str, shape: tuple, dtype=float) -> np.ndarray:
+    """An uninitialised C-contiguous array of ``shape`` over the calling
+    thread's buffer for (key, dtype), which only a larger request replaces;
+    it stays valid until the thread takes (key, dtype) again."""
+    buffers, size = vars(_BUFFERS), math.prod(shape)
+    buffer = buffers.get((key, dtype))
+    if buffer is None or buffer.size < size:
+        buffer = buffers[key, dtype] = np.empty(size, dtype)
+    return buffer[:size].reshape(shape)
+
+
+def _profile(col_sums: np.ndarray):
     """Per-row segment variances m1, m2 and the profile at n0 = 2..N_p-1 for
     column power sums of shape (..., N_p); each result has shape
     (..., N_p - 2), its last axis indexed by n0 - 2.  They are written into
-    ``scratch`` (fresh buffers when it is None), under the keys "prefix",
-    "m1", "m2", "profile", "term" and "bad".
+    the thread's buffers (``_take``), under the keys "prefix", "m1", "m2",
+    "profile", "term" and "bad".
 
     Segment 1 is columns [1..n0], segment 2 is [n0+1..N_p] (1-indexed).  A
     matrix of L rows has segment variances m / L and log-likelihood
     L * (profile + N_p log L): L scales the profile and shifts it, so its
     argmax does not read L.  Equal segment means tie every candidate exactly.
     """
-    scratch = scratch or _Scratch()
     sums = np.asarray(col_sums, dtype=float)
     cols = sums.shape[-1]
     shape = (*sums.shape[:-1], cols - 2)
-    prefix = np.cumsum(sums, axis=-1, out=scratch.take("prefix", sums.shape))
+    prefix = np.cumsum(sums, axis=-1, out=_take("prefix", sums.shape))
     candidates = np.arange(2.0, cols)
     head = prefix[..., 1:-1]
-    m1 = np.divide(head, candidates, out=scratch.take("m1", shape))
-    m2 = np.subtract(prefix[..., -1:], head, out=scratch.take("m2", shape))
+    m1 = np.divide(head, candidates, out=_take("m1", shape))
+    m2 = np.subtract(prefix[..., -1:], head, out=_take("m2", shape))
     m2 /= cols - candidates
-    term = scratch.take("term", shape)
+    term = _take("term", shape)
     # fmin skips a NaN, so this flags exactly where m1 <= 0 or m2 <= 0
-    bad = np.less_equal(np.fmin(m1, m2, out=term), 0.0, out=scratch.take("bad", shape, bool))
+    bad = np.less_equal(np.fmin(m1, m2, out=term), 0.0, out=_take("bad", shape, bool))
     if bad.any():
         raise DegenerateSegmentError(f"zero-power segment at n0={2 + np.nonzero(bad)[-1].min()}")
     # -N_p log m2 - n0 (log m1 - log m2), evaluated in place
-    profile = np.log(m2, out=scratch.take("profile", shape))
+    profile = np.log(m2, out=_take("profile", shape))
     term = np.log(m1, out=term)
     term -= profile
     term *= candidates
@@ -124,16 +120,15 @@ def _offset(n0_hat, cols: int):
     return np.where(n0_hat < cols / 2, -n0_hat, cols - n0_hat)
 
 
-def scan_sto(col_sums: np.ndarray, scratch: _Scratch | None = None) -> np.ndarray:
+def scan_sto(col_sums: np.ndarray) -> np.ndarray:
     """Scan n0 over {2..N_p-1} for each pilot matrix given by its column power sums.
 
     ``col_sums`` has shape (..., N_p): entry j is the summed power of column
     j over the matrix's rows, which is all the profile likelihood reads; the
     row count only scales it.  Returns the signed offset estimates, shape
-    (...).  Ties resolve to the smallest candidate.  The profile is worked
-    out in ``scratch`` when one is given (see ``_profile``).
+    (...).  Ties resolve to the smallest candidate.
     """
-    _, _, profile = _profile(col_sums, scratch)
+    _, _, profile = _profile(col_sums)
     n0_hat = 2 + np.argmax(profile, axis=-1)  # first maximum: smallest-n0 tie-break
     return _offset(n0_hat, np.shape(col_sums)[-1])
 
@@ -148,6 +143,7 @@ def estimate_sto(y: np.ndarray) -> StoEstimate:
         raise ValueError(f"pilot matrix must be at least 1 x 4, got {rows} x {cols}")
     if not np.all(np.isfinite(y)):
         raise ValueError("pilot matrix contains non-finite entries")
+    # the thread's buffers: the estimate holds copies of them
     m1, m2, profile = _profile((y.real**2 + y.imag**2).sum(axis=0))
     n0_hat = 2 + int(np.argmax(profile))
     loglik = rows * (profile + cols * np.log(rows))

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# perfbench/spans.py wraps ``frame.gen_cgn_block`` to count the normals drawn;
-# removing this binding fails the traced benchmark
 from .signal_model import ChannelState, gen_cgn_block
 
 

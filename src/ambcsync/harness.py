@@ -59,14 +59,12 @@ Each window is decided against its trial's threshold.  The sample-level
 path (``synthesize_received``, ``estimate_sto``, ``detect_frame``) stays
 in the library, and the tests hold the batch samplers to it.
 
-Each thread runs its batches in work buffers of its own (``_THREAD.scratch``,
-an ``estimator._Scratch``), so that threads never share them: a batch's
-pilot sums with their offset mask and powers, the scan's profile arrays,
-and a BER cell's energies, draws and payload powers.  A buffer lives as
-long as its thread and is replaced only by a larger one (a longer N_p or
-BER row), so a run's batches after its first allocate no arrays of their
-size.  Without a scratch the samplers and the scan work in fresh buffers;
-the draws and every float operation are the same either way.
+Each thread runs its batches in work buffers of its own (``estimator._take``),
+so that threads never share them: a batch's pilot sums with their offset
+mask and powers, the scan's profile arrays, and a BER cell's energies,
+draws and payload powers.  A buffer lives as long as its thread and is
+replaced only by a larger one (a longer N_p or BER row), so a run's
+batches after its first allocate no arrays of their size.
 
 A run gets one process per ``FORK_BREAK_EVEN_US`` of estimated inline time
 (its kind's cost per batch times its batch count), at least one and at
@@ -90,7 +88,6 @@ import operator
 import os
 import pickle
 import signal
-import threading
 import traceback
 from collections import Counter
 from dataclasses import dataclass
@@ -98,7 +95,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import _decide, ed_threshold
-from .estimator import _offset, _Scratch, scan_sto
+from .estimator import _offset, _take, scan_sto
 from .frame import FrameConfig
 from .signal_model import ChannelModel, ChannelState, draw_channel, trial_rng
 
@@ -122,16 +119,6 @@ FORK_BREAK_EVEN_US = 24_000
 # contrast to detect, and the law leaves them out by redrawing their fading
 # channel; ``ed_threshold`` stays accurate far below it (it refuses only p0 == p1)
 NEAR_DEGENERATE_REL = 1e-9
-
-
-class _ThreadScratch(threading.local):
-    """The calling thread's work buffers for its batches (see the module docstring)."""
-
-    def __init__(self):
-        self.scratch = _Scratch()
-
-
-_THREAD = _ThreadScratch()
 
 
 def _degenerate(ch: ChannelState):
@@ -327,7 +314,6 @@ def _run_task(args) -> np.ndarray:
     """
     config, batch = args
     cells, trials, span = config._cell_table, config.trials, config.pilot_bit_samples
-    scratch = _THREAD.scratch
     start = batch * BLOCK
     stop = min(start + BLOCK, len(cells) * trials)
     first, last = start // trials, (stop - 1) // trials
@@ -345,13 +331,11 @@ def _run_task(args) -> np.ndarray:
         tau_hat = np.empty(n, dtype=np.int64)
         bit_errors = np.empty((n, 3), dtype=np.int64)
         for (_, _, frame, _), a, b in zip(reached, edges, edges[1:]):
-            tau_hat[a:b], bit_errors[a:b] = _payload_frames(
-                rng, frame, tau[a:b], p0[a:b], p1[a:b], scratch
-            )
+            tau_hat[a:b], bit_errors[a:b] = _payload_frames(rng, frame, tau[a:b], p0[a:b], p1[a:b])
         bit_errors = np.add.reduceat(bit_errors, edges[:-1], axis=0)
     else:
         pairs = [frame.pilot_pairs for _, _, frame, _ in reached]
-        tau_hat = scan_sto(_pilot_sums(rng, pairs, edges, tau, span, p0, p1, scratch), scratch)
+        tau_hat = scan_sto(_pilot_sums(rng, pairs, edges, tau, span, p0, p1))
         bit_errors = np.zeros((len(reached), 3), dtype=np.int64)
     width = 2 * span + 1
     cell = np.repeat(np.arange(len(reached)) * width, sizes)
@@ -376,37 +360,35 @@ def _channel_powers(rng, channel, noise) -> tuple[np.ndarray, np.ndarray]:
     return p0[:, None], p1[:, None]
 
 
-def _pilot_sums(rng, rows, edges, tau, span, p0, p1, scratch=None) -> np.ndarray:
+def _pilot_sums(rng, rows, edges, tau, span, p0, p1) -> np.ndarray:
     """Column power sums of the frames' pilot rows, shape (n, N_p), frames
     edges[i] to edges[i + 1] having ``rows[i]`` rows: column j is
     p * Gamma(rows), with p = p1 where the offset window still covers its
     "1" bit (0 <= tau + j < N_p), else p0.  The sums and their work arrays
-    are taken from ``scratch`` (fresh when it is None) under the keys
-    "sums", "shifted", "inside" and "power"."""
-    scratch = scratch or _Scratch()
+    are the thread's buffers "sums", "shifted", "inside" and "power", so
+    the sums stay valid until the same thread's next call."""
     shape = (tau.size, span)
-    sums = scratch.take("sums", shape)
+    sums = _take("sums", shape)
     for count, a, b in zip(rows, edges, edges[1:]):
         rng.standard_gamma(count, out=sums[a:b])
-    shifted = np.add(tau[:, None], np.arange(span), out=scratch.take("shifted", shape, np.int64))
+    shifted = np.add(tau[:, None], np.arange(span), out=_take("shifted", shape, np.int64))
     # 0 <= tau + j < N_p in one comparison: read as unsigned, a negative tau + j exceeds N_p
-    inside = np.less(shifted.view(np.uint64), span, out=scratch.take("inside", shape, bool))
-    power = scratch.take("power", shape)
+    inside = np.less(shifted.view(np.uint64), span, out=_take("inside", shape, bool))
+    power = _take("power", shape)
     np.copyto(power, p0)
     np.copyto(power, p1, where=inside)
     sums *= power
     return sums
 
 
-def _payload_frames(rng, frame, tau, p0, p1, scratch=None) -> tuple[np.ndarray, np.ndarray]:
+def _payload_frames(rng, frame, tau, p0, p1) -> tuple[np.ndarray, np.ndarray]:
     """Draw one cell's frames of a batch, with payload, through their window
     energies and decide them (see the module docstring).  Returns the offset
     estimates, shape (n,), and the payload bit errors under ideal sync, no
     compensation and the estimated compensation, shape (n, 3).  The
-    energies, the draws and the bits' powers are taken from ``scratch``
-    (fresh when it is None) under the keys "energy", "draws" and "power",
-    after the pilot sums and the scan have used it."""
-    scratch = scratch or _Scratch()
+    energies, the draws and the bits' powers are the thread's buffers
+    "energy", "draws" and "power", taken after the pilot sums and the scan
+    have used theirs."""
     n, pairs, span = tau.size, frame.pilot_pairs, frame.pilot_bit_samples
     k, width = frame.data_symbols, frame.data_symbol_samples
     # energy[i, 1 + m] holds trial i's m-th draw from position -2 N_p: one per
@@ -414,28 +396,28 @@ def _payload_frames(rng, frame, tau, p0, p1, scratch=None) -> tuple[np.ndarray, 
     # Sample p sits at flat[rows[i] + 1 + p]; once cumulated, flat[rows[i] + p]
     # is the energy before position p.
     head = 2 * span + width
-    energy = scratch.take("energy", (n, 1 + head + 3 * k))
+    energy = _take("energy", (n, 1 + head + 3 * k))
     energy[:, 0] = 0.0
     flat, rows = energy.ravel(), np.arange(2 * span, energy.size, energy.shape[1])
     payload = rng.integers(0, 2, size=(n, k)) == 1
-    sums = _pilot_sums(rng, [pairs - 1], [0, n], tau, span, p0, p1, scratch)
-    power = scratch.take("power", (n, k))  # each payload bit's: p1 where it is 1
+    sums = _pilot_sums(rng, [pairs - 1], [0, n], tau, span, p0, p1)
+    power = _take("power", (n, k))  # each payload bit's: p1 where it is 1
     np.copyto(power, p0)
     np.copyto(power, p1, where=payload)
-    near = rng.standard_exponential(out=scratch.take("draws", (n, head)))
+    near = rng.standard_exponential(out=_take("draws", (n, head)))
     drawn = energy[:, 1 : 1 + head]
     np.multiply(near[:, :span], p0, out=drawn[:, :span])
     np.multiply(near[:, span : 2 * span], p1, out=drawn[:, span : 2 * span])
     np.multiply(near[:, 2 * span :], power[:, :1], out=drawn[:, 2 * span :])
     # row L-1 reads positions tau + j - N_p: the pilot "0", its "1" or bit 0
     sums += flat.take((rows + tau + 1 - span)[:, None] + np.arange(span))
-    tau_hat = scan_sto(sums, scratch)
+    tau_hat = scan_sto(sums)
     # bits 1..K-1 and the guard bit are cut where the offset (tau) and the
     # compensated (tau - tau_hat) clocks cross them: three segments each
     low, high = np.sort([tau % width, (tau - tau_hat) % width], axis=0)
     lengths = np.stack([low, high - low, width - high], 1)[:, None]
     # into the near samples' buffer, whose draws are spent
-    segments = rng.standard_gamma(lengths, out=scratch.take("draws", (n, k, 3)))
+    segments = rng.standard_gamma(lengths, out=_take("draws", (n, k, 3)))
     later = energy[:, 1 + head :].reshape(n, k, 3)
     for j in range(3):  # a segment of every bit at a time runs faster than all at once
         np.multiply(segments[:, :-1, j], power[:, 1:], out=later[:, :-1, j])

@@ -19,7 +19,7 @@ from ambcsync import (
     synthesize_received,
     trial_rng,
 )
-from ambcsync.estimator import scan_sto
+from ambcsync.estimator import _take, scan_sto
 from ambcsync.signal_model import gen_cgn_block
 from oracles import (
     exact_two_segment,
@@ -255,6 +255,30 @@ def test_scan_of_a_mixed_length_batch_matches_scans_per_length():
     # the common column sum
     flat = np.array([1.0, 3.0, 3.0, 7.0, 0.1, 1e6])[:, None] * np.ones(8)
     assert np.array_equal(scan_sto(flat), np.full(6, -2))
+
+
+def test_one_key_taken_with_two_dtypes_gets_a_buffer_of_each():
+    # a key's buffer serves one dtype: a later, smaller take of the key in
+    # another dtype gets its own buffer, and the first one is kept
+    flags = _take("two dtypes", (4,), bool)
+    values = _take("two dtypes", (2,), float)
+    assert flags.dtype == bool and values.dtype == float
+    assert not np.shares_memory(flags, values)
+    assert np.shares_memory(_take("two dtypes", (4,), bool), flags)
+
+
+def test_an_estimate_keeps_its_arrays_after_later_scans():
+    # estimate_sto and scan_sto work in the thread's buffers; the estimate
+    # of matrix A holds copies, which a later estimate of matrix B and a
+    # batch scan leave as they were
+    rng = np.random.default_rng(66)
+    a, b = (rng.standard_normal((8, 20)) + 1j * rng.standard_normal((8, 20)) for _ in range(2))
+    est = estimate_sto(a)
+    kept = [est.s1.copy(), est.s2.copy(), est.loglik.copy()]
+    estimate_sto(b)
+    scan_sto(rng.standard_gamma(8.0, size=(256, 20)))
+    for array, copy in zip([est.s1, est.s2, est.loglik], kept):
+        assert np.array_equal(array, copy)
 
 
 def test_estimate_ignores_the_row_count():

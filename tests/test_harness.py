@@ -221,7 +221,7 @@ def inline_workers(monkeypatch, forked):
     return runs
 
 
-def test_resolve_threads(inline_workers):
+def test_threads_cap_the_processes_and_default_to_usable_cpus(inline_workers):
     # one cell of 4 * BLOCK + 1 frames is 5 batches, 5 tasks
     config = mae_config(snr_grid_db=(5.0,), pilot_pairs=(8,), trials=4 * harness.BLOCK + 1)
     # an explicit count caps the processes; the default is one per core this
